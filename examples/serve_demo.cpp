@@ -1,8 +1,10 @@
 // Long-running serving walkthrough: a SEI chip serves a request stream,
 // a mid-service fault silently damages the arrays, the canary sentinel
-// notices the accuracy drop, the circuit breaker trips and the runtime
+// notices the accuracy drop, the circuit breaker trips and the chip
 // repairs itself without a restart — with durable checkpoints the whole
-// time, so a kill -9 resumes from the last saved state.
+// time, so a kill -9 resumes from the last saved state. The chip is a
+// FleetRuntime with one shard and one tenant; the fault is a one-shot
+// storm strike on that shard.
 //
 // Used by CI as a soak test: --min-availability fails the run (exit 1)
 // when too many requests were rejected, and --strict additionally requires
@@ -11,9 +13,10 @@
 //
 // Flags: --network network2, --requests 3000, --fault-at (default
 // requests/3), --fault-stuck 0.05, --probe-every 8, --checkpoint-every 500,
-// --checkpoint serve_demo.ckpt, --deadline-ms 0, --min-availability 0,
-// --strict.
+// --checkpoint serve_demo_ckpt (a directory), --deadline-ms 0,
+// --min-availability 0, --strict.
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <deque>
@@ -27,7 +30,7 @@
 #include "core/adc_network.hpp"
 #include "exec/thread_pool.hpp"
 #include "reliability/repair.hpp"
-#include "serve/runtime.hpp"
+#include "serve/fleet.hpp"
 #include "telemetry/flags.hpp"
 #include "telemetry/metrics.hpp"
 #include "workloads/pipeline.hpp"
@@ -59,9 +62,9 @@ int main(int argc, char** argv) try {
   const int probe_every =
       cli.get_int("probe-every", 8, "served requests per sentinel probe");
   const int ckpt_every =
-      cli.get_int("checkpoint-every", 500, "served requests per checkpoint");
-  const std::string ckpt_path =
-      cli.get("checkpoint", "serve_demo.ckpt", "durable checkpoint file");
+      cli.get_int("checkpoint-every", 500, "requests per checkpoint set");
+  const std::string ckpt_dir = cli.get("checkpoint", "serve_demo_ckpt",
+                                       "durable checkpoint directory");
   const int deadline_ms =
       cli.get_int("deadline-ms", 0, "per-request deadline (0 = none)");
   const double min_availability = cli.get_double(
@@ -85,52 +88,55 @@ int main(int argc, char** argv) try {
       reliability::make_repair_hook(reliability::RepairConfig{}, nullptr));
   const core::AdcNetwork fallback(art.qnet, core::AdcConfig{}, data.train);
 
-  serve::RuntimeConfig rc;
-  rc.queue_capacity = 64;
-  rc.default_deadline = std::chrono::milliseconds(deadline_ms);
-  rc.checkpoint_every = ckpt_every;
-  rc.checkpoint_path = ckpt_path;
-  rc.sentinel.probe_every = probe_every;
-  rc.calibration.max_images = 200;
-  serve::ServingRuntime runtime(net, art.qnet, data.test, data.train, rc,
-                                &fallback);
+  constexpr int kInflight = 64;  // client window == the tenant's queue bound
+  serve::FleetConfig fc;
+  fc.tenants = serve::parse_tenant_specs("serve");
+  fc.tenants[0].queue_capacity = kInflight;
+  fc.default_deadline = std::chrono::milliseconds(deadline_ms);
+  fc.checkpoint_every = ckpt_every;
+  fc.checkpoint_dir = ckpt_dir;
+  fc.sentinel.probe_every = probe_every;
+  fc.calibration.max_images = 200;
+  serve::FleetRuntime runtime({&net}, art.qnet, data.test, data.train, fc,
+                              &fallback);
   if (fault_at > 0) {
-    serve::FaultSchedule sched;
-    sched.events.push_back(
-        {static_cast<std::uint64_t>(fault_at), -1, fault_stuck, 1.0});
-    runtime.set_fault_schedule(sched);
+    serve::StormSchedule storm;
+    storm.events.push_back({static_cast<std::uint64_t>(fault_at), 0,
+                            {0, -1, fault_stuck, 1.0}, 0});
+    runtime.set_storm(storm);
   }
   runtime.start();
+  const double baseline = runtime.stats().shards[0].baseline_pct;
   std::printf("[serve] %s from %s (baseline %.2f%%), %d requests, fault at "
               "%d (%.1f%% stuck)\n",
               runtime.resumed_from_checkpoint() ? "resumed" : "cold start",
-              ckpt_path.c_str(), runtime.sentinel_baseline_pct(), requests,
-              fault_at, 100.0 * fault_stuck);
+              ckpt_dir.c_str(), baseline, requests, fault_at,
+              100.0 * fault_stuck);
 
   const std::size_t per_image =
       data.test.images.numel() / static_cast<std::size_t>(data.test.size());
   std::uint64_t answered = 0, available = 0;
-  std::deque<std::future<serve::Response>> inflight;
+  std::deque<std::future<serve::FleetResponse>> inflight;
   auto settle_front = [&] {
-    const serve::Response r = inflight.front().get();
+    const serve::FleetResponse r = inflight.front().get();
     inflight.pop_front();
     ++answered;
-    if (r.status != serve::ResponseStatus::kRejected) ++available;
+    if (r.status != serve::FleetResponseStatus::kRejected) ++available;
   };
   for (int i = 0; i < requests && !shutdown_requested(); ++i) {
     const int k = i % data.test.size();
     inflight.push_back(runtime.submit(
-        {data.test.images.data() + static_cast<std::size_t>(k) * per_image,
-         per_image}));
-    while (static_cast<int>(inflight.size()) >= rc.queue_capacity)
-      settle_front();
+        0, {data.test.images.data() + static_cast<std::size_t>(k) * per_image,
+            per_image}));
+    while (static_cast<int>(inflight.size()) >= kInflight) settle_front();
   }
   while (!inflight.empty()) settle_front();
   runtime.stop();
   if (shutdown_requested())
     std::printf("[serve] interrupted; drained and checkpointed\n");
 
-  const serve::RuntimeStats st = runtime.stats();
+  const serve::FleetStats st = runtime.stats();
+  const serve::TenantCounters& tc = st.tenants[0];
   const double availability =
       answered == 0 ? 100.0
                     : 100.0 * static_cast<double>(available) /
@@ -138,29 +144,28 @@ int main(int argc, char** argv) try {
   std::printf("[serve] answered %llu: ok %llu, degraded %llu, rejected %llu "
               "-> availability %.2f%%\n",
               static_cast<unsigned long long>(answered),
-              static_cast<unsigned long long>(st.ok),
-              static_cast<unsigned long long>(st.degraded),
-              static_cast<unsigned long long>(st.rejected), availability);
-  std::printf("[serve] probes %llu, checkpoints %llu, breaker trips %d\n",
-              static_cast<unsigned long long>(st.probes),
+              static_cast<unsigned long long>(tc.ok),
+              static_cast<unsigned long long>(tc.degraded),
+              static_cast<unsigned long long>(answered - available),
+              availability);
+  std::printf("[serve] checkpoints %llu, breaker trips %d\n",
               static_cast<unsigned long long>(st.checkpoints),
-              st.breaker_trips);
-  for (const serve::BreakerEvent& e : runtime.breaker_events())
+              st.shards[0].trips);
+  for (const serve::BreakerEvent& e : runtime.shard_breaker_events(0))
     std::printf("[breaker] @%-6llu %s -> %s (tier %d): %s\n",
                 static_cast<unsigned long long>(e.at_served),
                 serve::to_string(e.from), serve::to_string(e.to), e.tier,
                 e.note.c_str());
 
   bool recovered_ok = false;
-  for (const serve::RecoveryRecord& r : runtime.recoveries()) {
+  for (const serve::RecoveryRecord& r : runtime.shard_recoveries(0)) {
     std::printf("[recover] tripped @%llu (%.2f%%), %s @%llu at tier %d "
                 "(%.2f%%, %.1f ms)\n",
                 static_cast<unsigned long long>(r.tripped_at_served),
                 r.acc_before_pct, r.closed ? "closed" : "degraded",
                 static_cast<unsigned long long>(r.resolved_at_served),
                 r.tier_reached, r.acc_after_pct, r.duration_ms);
-    if (r.closed &&
-        r.acc_after_pct >= runtime.sentinel_baseline_pct() - 2.0 &&
+    if (r.closed && r.acc_after_pct >= baseline - 2.0 &&
         (fault_at == 0 ||
          r.tripped_at_served <= static_cast<std::uint64_t>(fault_at) + 200))
       recovered_ok = true;
@@ -170,7 +175,7 @@ int main(int argc, char** argv) try {
   // inference by path, and the paper's Fig. 1 interface-vs-array story.
   // Everything printed here is also set as gauges so --metrics-out carries it.
   auto& reg = telemetry::MetricsRegistry::global();
-  std::vector<double> lat = runtime.latencies_ms();
+  std::vector<double> lat = runtime.tenant_latencies_ms(0);
   std::sort(lat.begin(), lat.end());
   const double p50 = quantile(lat, 0.50), p99 = quantile(lat, 0.99);
   reg.gauge("serve_latency_p50_ms").set(p50);

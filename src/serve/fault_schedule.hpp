@@ -1,12 +1,13 @@
 // Scripted in-service fault injection for soak tests and demos.
 //
 // Mapping-time fault models (rram::DeviceConfig) exercise a chip that was
-// born faulty; a serving runtime also has to survive faults that appear
-// while it is live. A FaultSchedule lists events keyed on the served-request
-// counter; the runtime fires each one exactly once when the counter passes
-// it, mutating the live MappedLayer effective weights deterministically
-// (counter-based RNG — the damage depends only on the schedule seed, the
-// event index and the stage, never on timing or thread count).
+// born faulty; a serving fleet also has to survive faults that appear while
+// it is live. A StormSchedule lists strikes keyed on the fleet dispatch
+// counter; FleetRuntime fires each one exactly once when the counter passes
+// it, mutating the target shard's live MappedLayer effective weights
+// deterministically (counter-based RNG — the damage depends only on the
+// schedule seed, the event index and the stage, never on timing or thread
+// count).
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,7 @@
 namespace sei::serve {
 
 struct FaultEvent {
-  std::uint64_t at_served = 0;  // fires when requests_served reaches this
+  std::uint64_t at_served = 0;  // unused: StormEvent::at_dispatched keys it
   int stage = -1;               // -1 = every stage
   // Fraction of effective cells slammed to a stuck value (half to zero,
   // half to ± the stage's maximum magnitude).
@@ -26,13 +27,8 @@ struct FaultEvent {
   double drift_factor = 1.0;
 };
 
-struct FaultSchedule {
-  std::vector<FaultEvent> events;  // fired in at_served order
-  std::uint64_t seed = 20260805;
-};
-
 /// Applies one event to the live network. `event_index` keys the RNG stream
-/// so replaying a schedule reproduces the identical damage.
+/// so replaying a storm reproduces the identical damage.
 void apply_fault(core::SeiNetwork& net, const FaultEvent& ev,
                  std::uint64_t seed, int event_index);
 

@@ -17,8 +17,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 // Maintenance evaluations live in their own RNG index spaces, far away from
-// request sequence numbers (same layout as runtime.cpp) — probes and
-// recovery measurements can never collide with the request stream's draws.
+// request sequence numbers — probes and recovery measurements can never
+// collide with the request stream's draws.
 constexpr long long kProbeIndexBase = 1LL << 40;
 constexpr long long kMeasureIndexBase = 1LL << 41;
 
@@ -632,7 +632,6 @@ void FleetRuntime::run_recovery(int k, double window_acc) {
   rec.tripped_at_served = served;
   rec.acc_before_pct = window_acc;
 
-  const double baseline = sh.sentinel.baseline_pct();
   bool closed = false;
   double acc = window_acc;
 
@@ -642,9 +641,8 @@ void FleetRuntime::run_recovery(int k, double window_acc) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(cfg_.breaker.retry_backoff_ms << attempt));
     acc = measure_probe_accuracy(sh);
-    if (sh.breaker.recovered(acc, baseline)) {
-      rec.tier_reached = 0;
-      sh.breaker.close(served, 0, "re-measure recovered (transient)");
+    if (sh.breaker.recovered(acc, sh.sentinel.baseline_pct())) {
+      close_breaker(k, 0, "re-measure recovered (transient)");
       closed = true;
     }
   }
@@ -652,17 +650,13 @@ void FleetRuntime::run_recovery(int k, double window_acc) {
   // Tier 1: remap through the repair hook + recalibrate thresholds.
   if (!closed) {
     rec.tier_reached = 1;
-    const bool repaired = attempt_repair(sh);
-    acc = measure_probe_accuracy(sh);
-    if (repaired && sh.breaker.recovered(acc, baseline)) {
-      sh.breaker.close(served, 1, "repair + recalibration restored accuracy");
-      closed = true;
-    }
+    closed = repair_and_close(k, "repair + recalibration restored accuracy",
+                              acc);
   }
 
   // Tier 2/3: park the shard; traffic fails over to its replicas (and only
   // past them to the shared ADC path / shedding). try_reopen() keeps
-  // re-attempting repair every reattempt_interval fleet dispatches.
+  // re-attempting tier 1 every reattempt_interval fleet dispatches.
   if (!closed) {
     if (fallback_ != nullptr) {
       rec.tier_reached = 2;
@@ -674,9 +668,6 @@ void FleetRuntime::run_recovery(int k, double window_acc) {
       sm.shedding->add();
     }
     sh.last_reattempt_dispatched = total_dispatched_;
-  } else {
-    sh.sentinel.reset_window();
-    sm.closed->add();
   }
 
   rec.closed = closed;
@@ -684,6 +675,16 @@ void FleetRuntime::run_recovery(int k, double window_acc) {
   rec.acc_after_pct = acc;
   rec.duration_ms = ms_between(t0, Clock::now());
   sh.recoveries.push_back(rec);
+}
+
+bool FleetRuntime::repair_and_close(int k, const char* why, double& acc) {
+  Shard& sh = shards_[static_cast<std::size_t>(k)];
+  const bool repaired = attempt_repair(sh);
+  acc = measure_probe_accuracy(sh);
+  if (!repaired || !sh.breaker.recovered(acc, sh.sentinel.baseline_pct()))
+    return false;
+  close_breaker(k, 1, why);
+  return true;
 }
 
 bool FleetRuntime::attempt_repair(Shard& sh) {
@@ -718,23 +719,24 @@ bool FleetRuntime::attempt_repair(Shard& sh) {
   return cal.ok();
 }
 
+void FleetRuntime::close_breaker(int k, int tier, const char* why) {
+  Shard& sh = shards_[static_cast<std::size_t>(k)];
+  sh.breaker.close(sh.snap.requests_served, tier, why);
+  sh.sentinel.reset_window();
+  shard_metrics_[static_cast<std::size_t>(k)].closed->add();
+}
+
 void FleetRuntime::try_reopen(int k) {
   Shard& sh = shards_[static_cast<std::size_t>(k)];
   const Clock::time_point t0 = Clock::now();
-  const bool repaired = attempt_repair(sh);
-  const double acc = measure_probe_accuracy(sh);
-  if (repaired && sh.breaker.recovered(acc, sh.sentinel.baseline_pct())) {
-    sh.sentinel.reset_window();
-    sh.breaker.close(sh.snap.requests_served, 1,
-                     "periodic repair restored accuracy");
-    shard_metrics_[static_cast<std::size_t>(k)].closed->add();
-    if (!sh.recoveries.empty() && !sh.recoveries.back().closed) {
-      RecoveryRecord& rec = sh.recoveries.back();
-      rec.closed = true;
-      rec.resolved_at_served = sh.snap.requests_served;
-      rec.acc_after_pct = acc;
-      rec.duration_ms += ms_between(t0, Clock::now());
-    }
+  double acc = 0.0;
+  if (!repair_and_close(k, "periodic repair restored accuracy", acc)) return;
+  if (!sh.recoveries.empty() && !sh.recoveries.back().closed) {
+    RecoveryRecord& rec = sh.recoveries.back();
+    rec.closed = true;
+    rec.resolved_at_served = sh.snap.requests_served;
+    rec.acc_after_pct = acc;
+    rec.duration_ms += ms_between(t0, Clock::now());
   }
 }
 

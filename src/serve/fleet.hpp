@@ -11,10 +11,11 @@
 // stream is a pure function of the dispatch order, independent of batch
 // coalescing boundaries and thread count (docs/serving.md).
 //
-// Each shard composes the PR-3 machinery unchanged: its own canary
-// Sentinel, its own CircuitBreaker, the same tiered recovery ladder
-// (re-measure → remap+recalibrate → park), and its own crash-safe
-// checkpoint file. What the fleet adds on top:
+// Each shard carries its own canary Sentinel, its own CircuitBreaker, the
+// tiered recovery ladder (re-measure → remap+recalibrate → park) and its
+// own crash-safe checkpoint file. A one-shard, one-tenant fleet is the
+// single-chip serving runtime (examples/serve_demo). Across shards the
+// fleet adds:
 //
 //  * routing + failover — a request's home shard is ticket % N; when the
 //    home breaker is not closed the request fails over to the next closed
@@ -57,7 +58,6 @@
 #include "serve/breaker.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/fault_schedule.hpp"
-#include "serve/runtime.hpp"  // RecoveryRecord, EnergySummary
 #include "serve/sentinel.hpp"
 #include "telemetry/energy.hpp"
 #include "telemetry/metrics.hpp"
@@ -74,6 +74,26 @@ struct FleetConfig {
   SentinelConfig sentinel{};
   BreakerConfig breaker{};
   reliability::CalibrationConfig calibration{};  // tier-1 recalibration
+};
+
+/// One breaker trip → recovery episode on a shard.
+struct RecoveryRecord {
+  std::uint64_t tripped_at_served = 0;
+  std::uint64_t resolved_at_served = 0;  // closed OR parked in fallback/shed
+  int tier_reached = 0;
+  bool closed = false;  // true when the SEI path was restored
+  double acc_before_pct = 0.0;
+  double acc_after_pct = 0.0;
+  double duration_ms = 0.0;
+};
+
+/// Cumulative metered energy since start(), split by evaluation path. Each
+/// accumulator reproduces the static cost model exactly: images × the
+/// per-picture arch::estimate_cost breakdown of that path's structure.
+struct EnergySummary {
+  telemetry::EnergyAccum sei;    // SEI-path requests (status kOk)
+  telemetry::EnergyAccum adc;    // ADC-fallback requests (status kDegraded)
+  telemetry::EnergyAccum probe;  // sentinel probes + recovery measurements
 };
 
 /// Routing targets below 0 name the off-shard paths.
@@ -240,8 +260,16 @@ class FleetRuntime {
   /// recovery ladder mutates the network) and runs recovery.
   void run_probe(int k, std::vector<Pending>& seg);
   double measure_probe_accuracy(Shard& sh);
+  /// The tiered recovery ladder, run when shard `k`'s breaker trips.
   void run_recovery(int k, double window_acc);
+  /// Tier 1, shared by the ladder and the parked-shard re-attempt: repair,
+  /// re-measure into `acc`, and close the breaker (noting `why`) when the
+  /// measurement is back within margin of the baseline.
+  bool repair_and_close(int k, const char* why, double& acc);
   bool attempt_repair(Shard& sh);
+  /// Closes shard `k`'s breaker and clears its sentinel window, so failures
+  /// from the degraded period cannot re-trip it at once.
+  void close_breaker(int k, int tier, const char* why);
   /// Parked-shard periodic repair re-attempt (tier-1 while degraded).
   void try_reopen(int k);
   void write_checkpoints();

@@ -6,7 +6,6 @@
 #include "data/synthetic_digits.hpp"
 #include "nn/trainer.hpp"
 #include "quant/qnet.hpp"
-#include "snn/snn_network.hpp"
 #include "workloads/networks.hpp"
 
 namespace sei {
@@ -91,28 +90,6 @@ TEST(SynthEdges, CustomImageSizeRenders) {
     mx = std::max(mx, v);
   }
   EXPECT_GT(mx, 0.5f);  // the digit is inked
-}
-
-TEST(SnnEdges, MoreInputSpikesForBrighterImages) {
-  // Phased coding: total spikes over T timesteps ≈ Σ pixel values · T.
-  auto wl = workloads::network2();
-  nn::Network net = workloads::build_float_network(wl.topo, 5);
-  quant::QNetwork q = quant::build_qnetwork(net, wl.topo);
-  snn::SnnConfig cfg;
-  cfg.timesteps = 16;
-  snn::SnnNetwork snn(q, cfg);
-
-  nn::Tensor dim({1, 28, 28, 1});
-  dim.fill(0.1f);
-  nn::Tensor bright({1, 28, 28, 1});
-  bright.fill(0.9f);
-  snn::SpikeStats sd, sb;
-  snn.predict({dim.data(), dim.numel()}, &sd);
-  snn.predict({bright.data(), bright.numel()}, &sb);
-  EXPECT_GT(sb.input_spikes, sd.input_spikes * 5);
-  // Phase coding emits ⌊p·T⌋..⌈p·T⌉ spikes per pixel.
-  EXPECT_NEAR(static_cast<double>(sb.input_spikes), 0.9 * 16 * 784,
-              784.0);
 }
 
 TEST(TrainerEdges, SingleEpochSingleBatch) {
