@@ -1,6 +1,7 @@
 // Cross-module property tests (parameterized sweeps over configurations).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "arch/cost_model.hpp"
@@ -59,9 +60,11 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Cost-model dominance: for every network and crossbar size, SEI must cost
 // less energy and area than 1-bit+ADC, which must cost less than the
-// baseline.
+// baseline. The network name is a std::string, not a const char*: gtest
+// prints a C string parameter with its address, which would put an
+// ASLR-dependent pointer into every generated test name.
 class CostSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(CostSweep, StructureDominanceHolds) {
   const auto [name, size] = GetParam();
@@ -87,7 +90,9 @@ TEST_P(CostSweep, StructureDominanceHolds) {
 
 INSTANTIATE_TEST_SUITE_P(
     NetworksAndSizes, CostSweep,
-    ::testing::Combine(::testing::Values("network1", "network2", "network3"),
+    ::testing::Combine(::testing::Values(std::string("network1"),
+                                                         std::string("network2"),
+                                                         std::string("network3")),
                        ::testing::Values(128, 256, 512)));
 
 // ---------------------------------------------------------------------------
