@@ -107,6 +107,25 @@ class Rng {
     return mean + stddev * gaussian();
   }
 
+  /// Advances the stream exactly as `n` gaussian() calls would, without
+  /// evaluating the skipped values: a cached half is dropped, each whole
+  /// pair replays only its uniform draws (u1's redraw on zero included),
+  /// and an odd remainder draws a real pair so its second half is cached
+  /// for the next call, as the eager calls would leave it.
+  void skip_gaussians(std::uint64_t n) {
+    if (n == 0) return;
+    if (has_cached_gauss_) {
+      has_cached_gauss_ = false;
+      --n;
+    }
+    for (; n >= 2; n -= 2) {
+      while (((*this)() >> 11) == 0) {
+      }
+      (void)(*this)();
+    }
+    if (n == 1) (void)gaussian();
+  }
+
   /// Lognormal with the *multiplicative* sigma given in log-domain: a sample
   /// multiplies its nominal value by exp(sigma * N(0,1) - sigma^2/2), so the
   /// expected multiplier is 1 (energy-preserving device variation).

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -146,6 +147,13 @@ struct StageShape {
   bool round_robin;  // homogenized-style row interleave across blocks
   int max_abs;       // weight magnitude; large forces rows_ok == false
 };
+
+// Names each case by its shape; without it gtest prints the struct's raw
+// bytes, padding included, so the test names would differ between builds.
+void PrintTo(const StageShape& s, std::ostream* os) {
+  *os << "rows" << s.rows << "_cols" << s.cols << "_k" << s.k
+      << (s.round_robin ? "_roundrobin" : "_contiguous") << "_w" << s.max_abs;
+}
 
 class BitpackAccumulate : public ::testing::TestWithParam<StageShape> {};
 

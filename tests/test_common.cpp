@@ -1,9 +1,11 @@
 // Unit tests for the common utilities: RNG, stats, table, CLI, binary I/O.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numbers>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
@@ -67,6 +69,51 @@ TEST(Rng, GaussianMoments) {
   for (int i = 0; i < 50000; ++i) s.add(r.gaussian());
   EXPECT_NEAR(s.mean(), 0.0, 0.03);
   EXPECT_NEAR(s.stddev(), 1.0, 0.03);
+}
+
+TEST(Rng, GaussianIsTheBoxMullerPairOfItsUniforms) {
+  Rng r(17), u(17);
+  for (int i = 0; i < 1000; i += 2) {
+    double u1 = u.uniform();
+    while (u1 <= 0.0) u1 = u.uniform();
+    const double u2 = u.uniform();
+    const double rad = std::sqrt(-2.0 * std::log(u1));
+    const double theta = 2.0 * std::numbers::pi * u2;
+    ASSERT_EQ(r.gaussian(), rad * std::cos(theta)) << "draw " << i;
+    ASSERT_EQ(r.gaussian(), rad * std::sin(theta)) << "draw " << i + 1;
+  }
+}
+
+TEST(Rng, SkipGaussiansLandsWhereEagerCallsDo) {
+  // Both starting pair halves: fresh, and with a cached second half.
+  for (const bool half : {false, true}) {
+    for (std::uint64_t n = 0; n <= 9; ++n) {
+      Rng lazy(29), eager(29);
+      if (half) {
+        (void)lazy.gaussian();
+        (void)eager.gaussian();
+      }
+      lazy.skip_gaussians(n);
+      double want = 0.0;
+      for (std::uint64_t i = 0; i <= n; ++i) want = eager.gaussian();
+      EXPECT_EQ(lazy.gaussian(), want) << "n=" << n << " half=" << half;
+      EXPECT_EQ(lazy.gaussian(), eager.gaussian()) << "n=" << n;
+      EXPECT_EQ(lazy(), eager()) << "n=" << n;
+    }
+  }
+}
+
+TEST(Rng, SkipGaussiansAfterReseedStartsAFreshPair) {
+  for (std::uint64_t n = 0; n <= 9; ++n) {
+    Rng lazy(31), eager(404);
+    (void)lazy.gaussian();  // leaves a cached half that reseed must drop
+    lazy.reseed(404);
+    lazy.skip_gaussians(n);
+    double want = 0.0;
+    for (std::uint64_t i = 0; i <= n; ++i) want = eager.gaussian();
+    EXPECT_EQ(lazy.gaussian(), want) << "n=" << n;
+    EXPECT_EQ(lazy(), eager()) << "n=" << n;
+  }
 }
 
 TEST(Rng, LognormalMultiplierMeanIsOne) {

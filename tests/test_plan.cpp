@@ -251,6 +251,24 @@ TEST(Plan, BoundContextServesWithoutHeapAllocation) {
   EXPECT_EQ(guard.count(), 0u);
 }
 
+TEST(Plan, PlanBoundsCoverTheLazyNoisyDecide) {
+  // The lazy noisy decide's band scratch is sized by the plan: the very
+  // first predict after prepare() allocates nothing, where an unbound
+  // buffer would fall back to a heap vector there (and only there).
+  if (!telemetry::alloc_counting_available())
+    GTEST_SKIP() << "allocation counters compiled out";
+  Fixture& f = fixture();
+  core::HardwareConfig cfg;
+  cfg.device.read_noise_sigma = 0.05;
+  cfg.limits.max_rows = 16;  // hidden stages vote across blocks
+  core::SeiNetwork hw(f.qnet, cfg);
+  core::EvalContext ctx;
+  hw.prepare(ctx);
+  telemetry::AllocGuard guard;
+  hw.predict(f.image(0), ctx, 0);
+  EXPECT_EQ(guard.count(), 0u);
+}
+
 TEST(Plan, ContextHopsBetweenCoveredNetworksWithoutRebinding) {
   // Capacity-based binding: a context bound to the union of two replicas'
   // bounds serves either one allocation-free — the fleet's chunk workers
