@@ -97,8 +97,8 @@ int main(int argc, char** argv) try {
       "stall-every", 17, "soak: thread-pool chunks per stall (0 = off)");
   const int skip_bound = cli.get_int(
       "skip-bound", -1,
-      "soak: word-skip bound on every SEI stage (-1 = dense); when >= 0 the "
-      "billing-envelope invariant is checked too (docs/sparsity.md)");
+      "soak: skip bound on every SEI stage (-1 = uniform billing, 0 = bill "
+      "by rows driven and check the billing envelope; docs/sparsity.md)");
   const int ckpt_every = cli.get_int(
       "checkpoint-every", 200, "soak: dispatches per checkpoint set");
   const int storm_at = cli.get_int(

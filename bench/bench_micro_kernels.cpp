@@ -267,10 +267,9 @@ BENCHMARK(BM_OrPoolPacked);
 // --- plan dispatch ---------------------------------------------------------
 
 /// Tiny untrained FC stack with integral weights: per-stage evaluation is a
-/// few hundred nanoseconds, so the compiled-vs-interpreted delta below
-/// isolates pure dispatch cost (engine re-derivation, kernel-condition
-/// checks, convert guessing) — the work compile_plan hoists out of the
-/// request loop. Every stage takes the packed engines.
+/// few hundred nanoseconds, so BM_PredictCompiled measures the per-request
+/// cost of the plan executor itself (op walk, converts, charge hooks) on
+/// top of near-empty kernels. Every stage takes the packed engines.
 quant::QNetwork make_bench_qnet() {
   quant::QNetwork qnet;
   qnet.name = "bench_plan";
@@ -296,10 +295,9 @@ quant::QNetwork make_bench_qnet() {
   return qnet;
 }
 
-void bench_predict(benchmark::State& state, bool plan_mode) {
+void BM_PredictCompiled(benchmark::State& state) {
   static quant::QNetwork qnet = make_bench_qnet();
   core::SeiNetwork hw(qnet, core::HardwareConfig{});
-  hw.set_plan_mode(plan_mode);
   Rng rng(12);
   std::vector<float> img(64);
   for (float& v : img) v = static_cast<float>(rng.uniform(0, 1));
@@ -311,13 +309,6 @@ void bench_predict(benchmark::State& state, bool plan_mode) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_PredictInterpreted(benchmark::State& state) {
-  bench_predict(state, false);
-}
-BENCHMARK(BM_PredictInterpreted);
-
-void BM_PredictCompiled(benchmark::State& state) { bench_predict(state, true); }
 BENCHMARK(BM_PredictCompiled);
 
 void BM_SyntheticDigitRender(benchmark::State& state) {

@@ -1,20 +1,19 @@
-// Accuracy-vs-skip-rate and energy-vs-skip-rate for the runtime sparsity
-// engine (docs/sparsity.md): each workload is calibrated offline
-// (Algorithm-1-style per-stage bound sweep on training data), then the
-// calibrated network runs the test set with activation-proportional
-// metering — only the rows whose transmission gates actually open are
-// charged. A uniform-bound ladder around the calibrated point maps out the
-// accuracy/energy trade-off curve.
+// Dense vs row-billed energy for the SEI structure (docs/sparsity.md):
+// each workload runs the test set once with every stage charged its
+// uniform per-picture price and once with row billing on
+// (set_skip_bounds all zero) — each SEI stage then charges only the rows
+// whose 1-bit inputs actually drove them (Table 1), counted by the dense
+// kernels. The activity estimator reports the share of all-zero 9-row
+// input words ("skip rate") and of driven rows.
 //
-// Acts as the sparsity gate for CI: exits nonzero if the calibrated point
-// on any whole-crossbar workload drops more than --max-accuracy-drop
-// percentage points of accuracy or skips fewer than --min-skip-rate
-// percent of sub-crossbar input words.
+// Acts as the sparsity gate for CI: exits nonzero if row billing changes
+// any prediction, or if a whole-crossbar workload drops more than
+// --max-accuracy-drop percentage points of accuracy or leaves fewer than
+// --min-skip-rate percent of its sub-crossbar input words idle.
 //
-// Flags: --networks (csv), --images, --calib-images, --margin,
-// --skip-bound (uniform override, skips calibration), --min-skip-rate,
-// --max-accuracy-drop, --save-config, --json, plus the shared telemetry
-// flags. Writes BENCH_sparsity.json (schema sei-sparsity-v1).
+// Flags: --networks (csv), --images, --min-skip-rate, --max-accuracy-drop,
+// --json, plus the shared telemetry flags. Writes BENCH_sparsity.json
+// (schema sei-sparsity-v2).
 #include <cstdio>
 #include <span>
 #include <sstream>
@@ -29,8 +28,6 @@
 #include "core/sei_network.hpp"
 #include "exec/thread_pool.hpp"
 #include "sparsity/activity.hpp"
-#include "sparsity/calibrate.hpp"
-#include "sparsity/config.hpp"
 #include "telemetry/flags.hpp"
 #include "telemetry/span.hpp"
 #include "workloads/pipeline.hpp"
@@ -48,8 +45,8 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-/// Per-image metered energy over the first `n` test images; with skip
-/// bounds set every stage charges its actual activated rows.
+/// Per-image metered energy over the first `n` test images; with row
+/// billing on every SEI stage charges its actual driven rows.
 telemetry::EnergyAccum measure_energy(const core::SeiNetwork& net,
                                       const telemetry::EnergyMeter& meter,
                                       const data::Dataset& d, int n) {
@@ -77,25 +74,19 @@ telemetry::EnergyAccum measure_energy(const core::SeiNetwork& net,
       });
 }
 
-struct Point {
-  std::string label;          // "dense", "calibrated", "bound=N"
-  std::vector<int> bounds;    // empty for dense
-  double error_pct = 0.0;
-  double skip_rate = 0.0;      // masked words / evaluated words
-  double row_activity = 0.0;   // active rows / nominal rows
-  double charged_rows = 0.0;   // charged rows / nominal rows
-  double uj_per_image = 0.0;
-};
-
 struct Row {
   std::string network;
   std::string variant;
   bool gated = false;  // whole-crossbar rows carry the CI gate
   double dense_error_pct = 0.0;
   double dense_uj_per_image = 0.0;
-  Point calibrated;
-  std::vector<Point> ladder;
-  sparsity::SparsityConfig config;
+  // Row-billed point (all-zero skip bounds).
+  std::vector<int> bounds;
+  double error_pct = 0.0;
+  double skip_rate = 0.0;     // all-zero words / evaluated words
+  double row_activity = 0.0;  // driven rows / nominal rows
+  double charged_rows = 0.0;  // charged rows / nominal rows
+  double uj_per_image = 0.0;
 };
 
 }  // namespace
@@ -106,31 +97,23 @@ int main(int argc, char** argv) try {
   const std::string networks_csv =
       cli.get("networks", "network1,network2,network3");
   const int images = cli.get_int("images", 1000, "test images to meter");
-  const int calib_images =
-      cli.get_int("calib-images", 512, "calibration images (train set)");
-  const double margin = cli.get_double(
-      "margin", 0.5, "allowed accuracy drop during calibration, pct points");
-  const int skip_bound = cli.get_int(
-      "skip-bound", -1, "uniform skip bound override (-1 = calibrate)");
   const double min_skip_rate = cli.get_double(
-      "min-skip-rate", 30.0, "gate: min % of words masked (whole rows)");
+      "min-skip-rate", 30.0, "gate: min % of idle input words (whole rows)");
   const double max_drop = cli.get_double(
       "max-accuracy-drop", 0.5, "gate: max accuracy drop vs dense, pct");
-  const std::string save_config =
-      cli.get("save-config", "", "write calibrated bounds to this path");
   const std::string json_path = cli.get("json", "BENCH_sparsity.json");
   const auto tel = telemetry::telemetry_flags(cli);
-  if (!cli.validate("SEI runtime sparsity: calibrated skip bounds, "
-                    "accuracy vs skip rate vs energy")) {
+  if (!cli.validate("SEI row billing: dense vs activation-proportional "
+                    "energy, idle input words")) {
     telemetry::telemetry_flush(tel);
     return 0;
   }
-  SEI_CHECK_MSG(images > 0 && calib_images > 0, "images must be positive");
+  SEI_CHECK_MSG(images > 0, "images must be positive");
   install_shutdown_handler();
 
-  std::printf("Sparsity: calibrated sub-crossbar skipping, %d test images, "
-              "margin %.2f pts (gate: skip >= %.0f%%, drop <= %.2f pts)\n\n",
-              images, margin, min_skip_rate, max_drop);
+  std::printf("Sparsity: dense vs row-billed energy, %d test images "
+              "(gate: skip >= %.0f%%, drop <= %.2f pts)\n\n",
+              images, min_skip_rate, max_drop);
 
   data::DataBundle data = workloads::load_default_data(true);
   const int n = std::min(images, data.test.size());
@@ -168,120 +151,60 @@ int main(int argc, char** argv) try {
       row.dense_error_pct = net.error_rate(data.test, n);
       row.dense_uj_per_image = meter.network_pj().total() * 1e-6;
 
-      auto measure_point = [&](const std::string& label,
-                               std::vector<int> bounds) {
-        Point p;
-        p.label = label;
-        net.set_skip_bounds(bounds);
-        p.bounds = std::move(bounds);
-        p.error_pct = net.error_rate(data.test, n);
-        const sparsity::ActivityEstimator act =
-            sparsity::estimate_activity(net, data.test, n);
-        p.skip_rate = act.skip_rate();
-        p.row_activity = act.row_activity();
-        p.charged_rows = act.charged_fraction();
-        const telemetry::EnergyAccum e =
-            measure_energy(net, meter, data.test, n);
-        p.uj_per_image = e.joules_per_image() * 1e6;
-        return p;
-      };
+      row.bounds.assign(static_cast<std::size_t>(net.stage_count()), 0);
+      net.set_skip_bounds(row.bounds);
+      row.error_pct = net.error_rate(data.test, n);
+      const sparsity::ActivityEstimator act =
+          sparsity::estimate_activity(net, data.test, n);
+      row.skip_rate = act.skip_rate();
+      row.row_activity = act.row_activity();
+      row.charged_rows = act.charged_fraction();
+      row.uj_per_image =
+          measure_energy(net, meter, data.test, n).joules_per_image() * 1e6;
 
-      if (skip_bound >= 0) {
-        // Shared --skip-bound override: uniform bound, no calibration.
-        row.calibrated = measure_point(
-            "bound=" + std::to_string(skip_bound),
-            std::vector<int>(static_cast<std::size_t>(net.stage_count()),
-                             skip_bound));
-        row.config.bounds = row.calibrated.bounds;
-        row.config.network = name;
-        row.config.base_error_pct = row.dense_error_pct;
-        row.config.calib_error_pct = row.calibrated.error_pct;
-        row.config.skip_rate = row.calibrated.skip_rate;
-      } else {
-        sparsity::CalibrationOptions opt;
-        opt.max_images = calib_images;
-        opt.accuracy_margin_pct = margin;
-        row.config = sparsity::calibrate(net, data.train, name, opt);
-        row.calibrated = measure_point("calibrated", row.config.bounds);
-      }
-
-      // Uniform-bound ladder: the trade-off curve around the calibrated
-      // point (bound 0 doubles as the bit-identity anchor: its error must
-      // equal the dense error). Bounds are per-word popcount thresholds
-      // (0..8 for 9-row words).
-      for (const int b : {0, 1, 2, 3}) {
-        row.ladder.push_back(measure_point(
-            "bound=" + std::to_string(b),
-            std::vector<int>(static_cast<std::size_t>(net.stage_count()),
-                             b)));
-      }
-      if (row.ladder[0].error_pct != row.dense_error_pct) {
+      // Row billing is a meter: it must not move a single prediction.
+      if (row.error_pct != row.dense_error_pct) {
         gate_ok = false;
         std::fprintf(stderr,
-                     "BIT-IDENTITY VIOLATION: %s/%s bound=0 error %.6f%% vs "
-                     "dense %.6f%%\n",
-                     name.c_str(), v.tag, row.ladder[0].error_pct,
-                     row.dense_error_pct);
+                     "BIT-IDENTITY VIOLATION: %s/%s row-billed error %.6f%% "
+                     "vs dense %.6f%%\n",
+                     name.c_str(), v.tag, row.error_pct, row.dense_error_pct);
       }
       if (row.gated) {
-        const double drop = row.calibrated.error_pct - row.dense_error_pct;
-        if (drop > max_drop || 100.0 * row.calibrated.skip_rate <
-                                   min_skip_rate) {
+        const double drop = row.error_pct - row.dense_error_pct;
+        if (drop > max_drop || 100.0 * row.skip_rate < min_skip_rate) {
           gate_ok = false;
           std::fprintf(stderr,
                        "SPARSITY GATE FAILED: %s drop %.2f pts (max %.2f), "
                        "skip rate %.1f%% (min %.0f%%)\n",
-                       name.c_str(), drop, max_drop,
-                       100.0 * row.calibrated.skip_rate, min_skip_rate);
+                       name.c_str(), drop, max_drop, 100.0 * row.skip_rate,
+                       min_skip_rate);
         }
       }
-      if (!save_config.empty() && v.gated && skip_bound < 0)
-        sparsity::save_sparsity_config(row.config,
-                                       save_config + "." + name);
       rows.push_back(std::move(row));
     }
   }
 
-  TextTable table("calibrated sub-crossbar skipping (test set)");
-  table.header({"Network", "Variant", "Dense %", "Sparse %", "Skip %",
-                "Rows %", "uJ dense", "uJ sparse", "Saved %"});
+  TextTable table("row-billed sub-crossbar activity (test set)");
+  table.header({"Network", "Variant", "Dense %", "Billed %", "Skip %",
+                "Rows %", "uJ dense", "uJ billed", "Saved %"});
   for (const Row& r : rows) {
-    const double saved =
-        100.0 * (1.0 - r.calibrated.uj_per_image / r.dense_uj_per_image);
+    const double saved = 100.0 * (1.0 - r.uj_per_image / r.dense_uj_per_image);
     table.row({r.network, r.variant, TextTable::num(r.dense_error_pct, 2),
-               TextTable::num(r.calibrated.error_pct, 2),
-               TextTable::num(100.0 * r.calibrated.skip_rate, 1),
-               TextTable::num(100.0 * r.calibrated.charged_rows, 1),
+               TextTable::num(r.error_pct, 2),
+               TextTable::num(100.0 * r.skip_rate, 1),
+               TextTable::num(100.0 * r.charged_rows, 1),
                TextTable::num(r.dense_uj_per_image, 3),
-               TextTable::num(r.calibrated.uj_per_image, 3),
-               TextTable::num(saved, 1)});
+               TextTable::num(r.uj_per_image, 3), TextTable::num(saved, 1)});
   }
   std::printf("%s\n", table.str().c_str());
 
-  const auto write_point = [](JsonWriter& j, const Point& p) {
-    j.begin_object();
-    j.kv("label", p.label);
-    j.key("bounds");
-    j.begin_array();
-    for (const int b : p.bounds) j.value(static_cast<long long>(b));
-    j.end_array();
-    j.kv("error_pct", p.error_pct);
-    j.kv("skip_rate", p.skip_rate);
-    j.kv("row_activity", p.row_activity);
-    j.kv("charged_row_fraction", p.charged_rows);
-    j.kv("energy_uj_per_image", p.uj_per_image);
-    j.end_object();
-  };
-
   JsonWriter j(json_path);
   j.begin_object();
-  j.kv("schema", "sei-sparsity-v1");
+  j.kv("schema", "sei-sparsity-v2");
   j.kv("images", static_cast<long long>(n));
-  j.kv("calib_images", static_cast<long long>(calib_images));
-  j.kv("accuracy_margin_pct", margin);
   j.kv("min_skip_rate_pct", min_skip_rate);
   j.kv("max_accuracy_drop_pct", max_drop);
-  j.kv("uniform_skip_bound", static_cast<long long>(skip_bound));
   j.kv("gate_ok", gate_ok);
   j.kv("interrupted", shutdown_requested());
   j.key("workloads");
@@ -294,15 +217,19 @@ int main(int argc, char** argv) try {
     j.kv("dense_error_pct", r.dense_error_pct);
     j.kv("dense_uj_per_image", r.dense_uj_per_image);
     j.kv("energy_saved_pct",
-         100.0 * (1.0 - r.calibrated.uj_per_image / r.dense_uj_per_image));
-    j.kv("calib_base_error_pct", r.config.base_error_pct);
-    j.kv("calib_error_pct", r.config.calib_error_pct);
-    j.key("calibrated");
-    write_point(j, r.calibrated);
-    j.key("ladder");
+         100.0 * (1.0 - r.uj_per_image / r.dense_uj_per_image));
+    j.key("row_billed");
+    j.begin_object();
+    j.key("bounds");
     j.begin_array();
-    for (const Point& p : r.ladder) write_point(j, p);
+    for (const int b : r.bounds) j.value(static_cast<long long>(b));
     j.end_array();
+    j.kv("error_pct", r.error_pct);
+    j.kv("skip_rate", r.skip_rate);
+    j.kv("row_activity", r.row_activity);
+    j.kv("charged_row_fraction", r.charged_rows);
+    j.kv("energy_uj_per_image", r.uj_per_image);
+    j.end_object();
     j.end_object();
   }
   j.end_array();

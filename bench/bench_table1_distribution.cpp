@@ -13,8 +13,8 @@
 // (sparsity::estimate_activity at all-zero bounds — a pure observation of
 // the dense network): the paper's Table 1 groups inputs into 9-bit words
 // and counts ones per word, and this is that exact distribution as the
-// mapped SEI hardware sees it — the quantity the skip predicate
-// (docs/sparsity.md) thresholds on.
+// mapped SEI hardware sees it — the rows row billing charges
+// (docs/sparsity.md).
 //
 // Flags: --images N (default all test images), --json PATH.
 #include <cstdio>
@@ -147,8 +147,8 @@ int main(int argc, char** argv) try {
       "Shape check: the lowest bin dominates every layer and the top bin\n"
       "is a small minority — the long-tail property Algorithm 1 relies "
       "on. The runtime word histogram shows the same shape per 9-bit\n"
-      "input word: the zero bin is what the sparsity skip predicate\n"
-      "switches off (docs/sparsity.md). Wrote %s.\n",
+      "input word: the zero bin is the words that drive no row and\n"
+      "cost nothing under row billing (docs/sparsity.md). Wrote %s.\n",
       json_path.c_str());
   telemetry::telemetry_flush(tel);
   return 0;

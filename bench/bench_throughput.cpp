@@ -88,8 +88,8 @@ int main(int argc, char** argv) try {
       "read-noise", 0.0, "read noise sigma (0 = pure-kernel comparison)");
   const int skip_bound = cli.get_int(
       "skip-bound", -1,
-      "word-skip bound on every SEI stage (-1 = dense, 0 = skip idle words "
-      "only — bit-identical; docs/sparsity.md)");
+      "skip bound on every SEI stage (-1 = uniform billing, 0 = bill by "
+      "rows driven; docs/sparsity.md)");
   const std::string json_path = cli.get("json", "BENCH_throughput.json");
   const auto tel = telemetry::telemetry_flags(cli);
   if (!cli.validate("SEI throughput: packed AND+popcount core vs scalar "

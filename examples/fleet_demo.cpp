@@ -47,8 +47,8 @@ int main(int argc, char** argv) try {
       cli.get_int("probe-every", 8, "served requests per sentinel probe");
   const int skip_bound = cli.get_int(
       "skip-bound", -1,
-      "word-skip bound on every SEI stage (-1 = dense); with a bound set, "
-      "tenants are billed per activated row (docs/sparsity.md)");
+      "skip bound on every SEI stage (-1 = uniform billing, 0 = tenants "
+      "are billed per driven row; docs/sparsity.md)");
   if (!cli.validate("fleet serving demo: failover and weighted fairness"))
     return 0;
   install_shutdown_handler();

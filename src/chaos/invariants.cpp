@@ -125,9 +125,9 @@ void check_plan_coherence(core::SeiNetwork& net, const data::Dataset& probes,
   for (int i = 0; i < images; ++i)
     planned[static_cast<std::size_t>(i)] =
         net.predict(probe_image(probes, i), ctx, kChaosProbeIndexBase + i);
-  // The scalar interpreter reads the live effective weights directly —
-  // ground truth for whatever fault/remap state the network is in.
-  net.set_plan_mode(false);
+  // The scalar engines read the live effective weights directly — ground
+  // truth for whatever fault/remap state the network is in.
+  const bool packed = net.packed_eval();
   net.set_packed_eval(false);
   for (int i = 0; i < images; ++i) {
     const int scalar =
@@ -137,14 +137,13 @@ void check_plan_coherence(core::SeiNetwork& net, const data::Dataset& probes,
                      who + ": plan (epoch " + std::to_string(epoch_before) +
                          ") predicts " +
                          std::to_string(planned[static_cast<std::size_t>(i)]) +
-                         " but the scalar interpreter says " +
+                         " but the scalar engines say " +
                          std::to_string(scalar) + " on probe " +
                          std::to_string(i)});
       break;
     }
   }
-  net.set_packed_eval(true);
-  net.set_plan_mode(true);
+  net.set_packed_eval(packed);
   if (net.plan().epoch < epoch_before)
     out.push_back({"plan_epoch", who + ": plan epoch moved backwards (" +
                                      std::to_string(epoch_before) + " -> " +

@@ -15,8 +15,9 @@
 //    EnergyMeter metered: admission bill == restored manifest base + this
 //    process's metered joules, per tenant, to tolerance.
 //  * plan coherence — after any fault/remap/restore interleaving, the
-//    compiled plan still agrees bit-for-bit with the scalar interpreter on
-//    probe images, and the plan epoch never moves backwards.
+//    compiled plan still agrees bit-for-bit with the same network's plan
+//    on the scalar engines on probe images, and the plan epoch never
+//    moves backwards.
 //  * arena re-bind safety — a context whose arena binding no longer covers
 //    the (rebuilt) plan must fall back to owned buffers and stay
 //    bit-identical, never serve through stale scratch.
@@ -102,11 +103,12 @@ void check_billing_envelope(const serve::FleetStats& base,
                             const BillingEnvelope& env, double tol_j,
                             std::vector<InvariantViolation>& out);
 
-/// Plan coherence on `net` (quiescent — call after stop()): the compiled
-/// plan path and the pure scalar interpreter must agree on `images` probe
-/// images drawn from `probes` at chaos RNG indices, and the plan epoch must
-/// never decrease across the check. `who` tags the violation (e.g.
-/// "shard0"). Restores plan/packed mode before returning.
+/// Plan coherence on `net` (quiescent — call after stop()): the live plan
+/// and a plan recompiled onto the scalar engines (packed_eval off) must
+/// agree on `images` probe images drawn from `probes` at chaos RNG
+/// indices, and the plan epoch must never decrease across the check. `who`
+/// tags the violation (e.g. "shard0"). Restores the packed switch before
+/// returning.
 void check_plan_coherence(core::SeiNetwork& net, const data::Dataset& probes,
                           int images, const std::string& who,
                           std::vector<InvariantViolation>& out);

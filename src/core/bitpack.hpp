@@ -206,10 +206,9 @@ PackedStage build_packed_stage(const std::vector<float>& eff, int rows,
 
 /// Accumulates one output position: n_active[b] and block_sums[b·cols+c]
 /// for every block and column, from the packed input window (`ps.words`
-/// words). block_sums receives exact integer values as doubles. Sparsity
-/// (docs/sparsity.md) needs no kernel hook: the caller masks skipped
-/// sub-crossbar words out of the window before accumulation, so inert
-/// rows simply read as inactive here.
+/// words). block_sums receives exact integer values as doubles. Σ n_active
+/// is the position's driven-row count that row billing charges
+/// (docs/sparsity.md).
 void accumulate_position(const PackedStage& ps, int cols, int block_count,
                          const std::uint64_t* window, double* block_sums,
                          int* n_active);

@@ -46,27 +46,25 @@ struct EvalContext {
   const telemetry::EnergyMeter* meter = nullptr;
   telemetry::EnergyAccum* energy = nullptr;
 
-  /// Per-stage sparsity counters (docs/sparsity.md), reset by each engine
-  /// at stage entry and valid after it returns. Only populated when the
-  /// stage op runs with skip_bound >= 0; the pre-sparsity fast path leaves
-  /// them at the previous stage's values. All deterministic functions of
-  /// (network, image) — never of thread count or evaluation order.
-  std::int64_t sp_rows = 0;     // row-activations actually driven (charged)
-  std::int64_t sp_nominal = 0;  // positions x rows the static table assumed
-  std::int64_t sp_words = 0;    // (position, 9-row input word) decisions
-  std::int64_t sp_skipped = 0;  // of those, masked off by the bound
+  /// Rows driven by the stage just evaluated: the selected inputs summed
+  /// over its positions (Σ n_active), written by the hidden/classifier
+  /// engines at every run. Row billing charges from it
+  /// (EnergyMeter::charge_stage_rows, docs/sparsity.md). A deterministic
+  /// function of (network, image) — never of engine or thread count.
+  std::int64_t rows_driven = 0;
 
-  /// Optional activity histogram sink: when set and a stage runs with
-  /// skip_bound >= 0, the engine also records each (position, input word)
-  /// selected-input count into this estimator cell (sparsity subsystem).
-  /// Indexed by stage by the caller; passive observation only.
+  /// Optional activity histogram sink (the runtime Table 1): when set, the
+  /// hidden/classifier engines of a row-billed network also record each
+  /// (position, 9-row input word) selected-input count into the stage's
+  /// cell. Indexed by stage by the caller; passive observation only — the
+  /// histogram pass runs only when this is set.
   struct StageActivity {
     std::int64_t positions = 0;      // crossbar activations observed
     std::int64_t words = 0;          // (position, input word) decisions
-    std::int64_t words_skipped = 0;  // masked off by the bound
+    std::int64_t words_skipped = 0;  // all-zero words: no row driven
     std::int64_t rows_nominal = 0;   // positions x rows
     std::int64_t rows_active = 0;    // sum of selected-input counts
-    std::int64_t rows_charged = 0;   // active rows in non-masked words
+    std::int64_t rows_charged = 0;   // rows billed (= rows_active)
     // Histogram of per-word selected-input counts: bin p counts 9-row
     // input words carrying exactly p ones (0..9) — the runtime twin of
     // the paper's Table 1 distribution. Bin 10 is unused (kept so the
@@ -84,16 +82,11 @@ struct EvalContext {
     }
   };
   StageActivity* activity = nullptr;      // caller array, one cell per stage
-  StageActivity* cur_activity = nullptr;  // set by dispatch: activity + stage
+  StageActivity* cur_activity = nullptr;  // set by run_plan on row-billed ops
 
   // SEI scratch.
   Scratch<double> block_sums;  // per-(block, col) partial sums
   Scratch<int> n_active;       // active inputs per block
-
-  // Scalar-path sparsity scratch: per-position selected-input count of each
-  // 9-row input word, used to apply the word-masking predicate without
-  // packing the window (sei_network.cpp eval_stage_bits).
-  std::vector<int> word_active;
 
   // ADC scratch.
   Scratch<double> plane_sums;        // per-(plane, block, col) partial sums
@@ -111,12 +104,12 @@ struct EvalContext {
 
   // Bit-packed engine scratch (core/bitpack). The live activation form
   // (bytes vs packed words) is static per stage in a compiled plan — the
-  // plan inserts explicit convert ops, and the interpreter tracks the form
-  // in a local, so the context carries no `packed_live` flag.
+  // plan inserts explicit convert ops, so the context carries no
+  // `packed_live` flag.
   quant::PackedBits packed_bits;    // packed activations entering a stage
   quant::PackedBits packed_stage;   // pre-pool packed bits
   quant::PackedBits packed_pooled;  // post-pool packed output
-  Scratch<std::uint64_t> window;    // packed conv window gather
+  Scratch<std::uint64_t> window;    // packed window gather (+ activity)
   Scratch<float> dac_vals;    // stage-0 DAC output, cached per image
   Scratch<double> dac_d;      // dac_vals widened once per image
   Scratch<std::uint8_t> pos_bits;  // one position's column bits

@@ -12,8 +12,8 @@ namespace {
 std::size_t words_for(std::size_t bits) { return (bits + 63) / 64; }
 
 /// Folds stage `m`'s scratch needs into `sp` — bounds for BOTH engines of
-/// the stage, so the same context serves the plan executor, the
-/// interpreter, and either setting of the packed switch.
+/// the stage, so the same context serves either setting of the packed
+/// switch.
 void bound_stage(const MappedLayer& m, int stage, bool noisy,
                  ScratchPlan& sp) {
   const quant::StageGeometry& g = m.geom;
@@ -70,6 +70,41 @@ void bound_stage(const MappedLayer& m, int stage, bool noisy,
     sp.band_state = std::max(sp.band_state,
                              stage == 0 ? positions * cols : k * cols);
   }
+}
+
+StageEngine select_engine(const MappedLayer& m, int stage, bool packed_eval) {
+  if (stage == 0) {
+    // Stage 0 consumes DAC levels, not bits: the packed variant needs the
+    // dense-sum exactness bound on top of integral weights.
+    return packed_eval && m.packed.valid && m.packed.dac_exact
+               ? StageEngine::kDacDense
+               : StageEngine::kScalarFloat;
+  }
+  return packed_eval && m.packed.valid ? StageEngine::kPackedBits
+                                       : StageEngine::kScalarBits;
+}
+
+PackedKernel select_packed_kernel(const MappedLayer& m,
+                                  const HardwareConfig& cfg) {
+  const quant::StageGeometry& g = m.geom;
+  const PackedStage& ps = m.packed;
+  const bool is_conv = g.kind == quant::StageSpec::Kind::Conv;
+  const bool noise_free = cfg.device.read_noise_sigma <= 0.0;
+  if (kHaveAvx512 && !ps.rows_ok && m.binarize && is_conv && g.cols <= 64 &&
+      noise_free)
+    return PackedKernel::kBatch8;
+  if (kHaveAvx512 && ps.rows_ok && m.binarize && m.block_count == 1 &&
+      g.cols <= 32 && noise_free)
+    return PackedKernel::kRow16Cmp;
+  return PackedKernel::kGeneric;
+}
+
+DacKernel select_dac_kernel(const MappedLayer& m) {
+  const bool is_conv = m.geom.kind == quant::StageSpec::Kind::Conv;
+  if (is_conv && m.binarize && m.block_count == 1)
+    return DacKernel::kDenseTranspose;
+  if (is_conv && m.binarize) return DacKernel::kScatter;
+  return DacKernel::kGeneric;
 }
 
 template <typename T>
@@ -130,46 +165,10 @@ void ScratchPlan::finalize() {
                 span_bytes<std::uint8_t>(band_state);
 }
 
-StageEngine select_engine(const MappedLayer& m, int stage,
-                          const HardwareConfig& /*cfg*/, bool packed_eval) {
-  if (stage == 0) {
-    // Stage 0 consumes DAC levels, not bits: the packed variant needs the
-    // dense-sum exactness bound on top of integral weights.
-    return packed_eval && m.packed.valid && m.packed.dac_exact
-               ? StageEngine::kDacDense
-               : StageEngine::kScalarFloat;
-  }
-  return packed_eval && m.packed.valid ? StageEngine::kPackedBits
-                                       : StageEngine::kScalarBits;
-}
-
-PackedKernel select_packed_kernel(const MappedLayer& m,
-                                  const HardwareConfig& cfg) {
-  const quant::StageGeometry& g = m.geom;
-  const PackedStage& ps = m.packed;
-  const bool is_conv = g.kind == quant::StageSpec::Kind::Conv;
-  const bool noise_free = cfg.device.read_noise_sigma <= 0.0;
-  if (kHaveAvx512 && !ps.rows_ok && m.binarize && is_conv && g.cols <= 64 &&
-      noise_free)
-    return PackedKernel::kBatch8;
-  if (kHaveAvx512 && ps.rows_ok && m.binarize && m.block_count == 1 &&
-      g.cols <= 32 && noise_free)
-    return PackedKernel::kRow16Cmp;
-  return PackedKernel::kGeneric;
-}
-
-DacKernel select_dac_kernel(const MappedLayer& m) {
-  const bool is_conv = m.geom.kind == quant::StageSpec::Kind::Conv;
-  if (is_conv && m.binarize && m.block_count == 1)
-    return DacKernel::kDenseTranspose;
-  if (is_conv && m.binarize) return DacKernel::kScatter;
-  return DacKernel::kGeneric;
-}
-
 CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
                           const HardwareConfig& cfg, bool packed_eval,
                           const telemetry::EnergyMeter* meter,
-                          const std::vector<int>* skip_bounds) {
+                          bool row_billing) {
   CompiledPlan plan;
   plan.ops.reserve(layers.size());
   plan.priced_for = meter;
@@ -179,7 +178,7 @@ CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
     const quant::StageGeometry& g = m.geom;
     StageOp op;
     op.stage = static_cast<int>(i);
-    op.engine = select_engine(m, op.stage, cfg, packed_eval);
+    op.engine = select_engine(m, op.stage, packed_eval);
     op.classifier = !m.binarize;
     op.pool_after = g.pool_after;
     op.rows = g.rows;
@@ -216,19 +215,10 @@ CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
       op.packed_kernel = select_packed_kernel(m, cfg);
     if (op.engine == StageEngine::kDacDense)
       op.dac_kernel = select_dac_kernel(m);
-    // Sparsity: the skip predicate applies to the SEI hidden/classifier
-    // stages only — stage 0 is DAC-driven through resistor ladders, its
-    // rows have no transmission gates to switch off. A configured bound is
-    // clamped to >= 0 so "bounds present" always implies activity tracking
-    // (and per-row charging), even where the bound itself is 0.
-    if (skip_bounds && !skip_bounds->empty() && op.stage > 0) {
-      const std::size_t si = static_cast<std::size_t>(op.stage);
-      const int b = si < skip_bounds->size() ? (*skip_bounds)[si] : 0;
-      // The bound is a per-9-row-word popcount threshold
-      // (SeiNetwork::kWordRows): bound 0 masks only all-zero words, which
-      // keeps predictions bit-identical to the dense network.
-      op.skip_bound = b > 0 ? b : 0;
-    }
+    // Row billing applies to the SEI hidden/classifier stages only —
+    // stage 0 is DAC-driven through resistor ladders, its rows have no
+    // transmission gates to switch off.
+    if (row_billing && op.stage > 0) op.skip_bound = 0;
     if (meter && i < meter->stage_count()) {
       op.price = meter->stage(i);
       op.priced = true;

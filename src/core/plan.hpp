@@ -1,28 +1,25 @@
 // Compiled execution plans (docs/plans.md).
 //
-// `SeiNetwork::predict` used to interpret the layer list per request: every
-// stage re-branched on engine selection (scalar float / bit-packed / DAC /
-// scalar-bits fallback), re-derived its kernel conditions from MappedLayer,
-// and grew EvalContext scratch on demand — costs paid millions of times on
-// the serving path. compile_plan lowers (mapped layers, HardwareConfig,
-// engine switch) once — at construction, remap, fault repair, or checkpoint
-// restore — into a CompiledPlan:
+// Every evaluation of a SeiNetwork — a served request, a batch pass, a
+// cached head or tail — runs one CompiledPlan through one executor. Engine
+// selection (scalar float / bit-packed / DAC / scalar-bits fallback) and
+// kernel conditions are resolved here, not per request. compile_plan lowers
+// (mapped layers, HardwareConfig, engine switch) once — at construction,
+// remap, fault repair, or checkpoint restore — into a CompiledPlan:
 //
 //  * a flat array of StageOps with the engine AND the packed/DAC sub-kernel
 //    resolved per layer geometry (bit-plane batch-of-8 vs int16 row-gather
 //    compare vs generic; dense-transpose vs scatter vs generic DAC),
 //  * explicit activation-form converts (bytes ↔ packed words) inserted at
-//    the stage boundaries that need them — the runtime `packed_live`
-//    guessing is gone,
+//    the stage boundaries that need them,
 //  * per-stage energy prices baked in from the attached meter,
 //  * and an exact ScratchPlan: the high-water size of every EvalContext
 //    buffer plus the total arena footprint, so a context binds to the plan
 //    with ONE arena allocation and serves requests with zero heap traffic.
 //
-// The legacy per-stage dispatch survives as the *interpreter*
-// (`SeiNetwork::set_plan_mode(false)`): the reference the equivalence suite
-// in tests/test_determinism.cpp pins the plan executor against,
-// bit-for-bit, and the baseline of the plan-dispatch micro bench.
+// The plan with the packed switch off (scalar engines only) is the
+// reference the equivalence suite in tests/test_determinism.cpp pins the
+// packed kernels against, bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -86,14 +83,11 @@ struct StageOp {
   int blocks = 1;
   long long positions = 0;
 
-  // Sparsity skip bound (docs/sparsity.md): resolved at compile time from
-  // the network's per-stage bounds. < 0 means sparsity is off for this op
-  // (the pre-sparsity fast path, no activity tracking); >= 0 means a 9-row
-  // sub-crossbar input word (SeiNetwork::kWordRows) whose selected-input
-  // count is <= skip_bound is masked out of the input window before
-  // accumulation — its rows are never driven — and the stage is charged
-  // per activated row. Always < 0 for stage 0 (DAC-driven, no transmission
-  // gates) and for non-SEI engines.
+  // Row billing (docs/sparsity.md): 0 when the stage is charged per driven
+  // row (ctx.rows_driven) and records the activity histogram when asked;
+  // -1 when it is charged its uniform price. Always -1 for stage 0
+  // (DAC-driven, no transmission gates). The kernels run the same dense
+  // code either way.
   int skip_bound = -1;
 
   // Baked per-stage energy price (valid when `priced`): the executor
@@ -108,8 +102,7 @@ struct StageOp {
 /// Exact high-water element counts of every EvalContext scratch buffer for
 /// one compiled network, plus the arena footprint that covers the carved
 /// spans. Bounds cover BOTH engines of every stage, so flipping
-/// set_packed_eval or running the interpreter never overflows a bound
-/// context.
+/// set_packed_eval never overflows a bound context.
 struct ScratchPlan {
   std::size_t block_sums = 0;
   std::size_t n_active = 0;
@@ -158,24 +151,13 @@ struct CompiledPlan {
   bool valid() const { return !ops.empty(); }
 };
 
-/// Kernel selection, shared verbatim by compile_plan and the interpreter —
-/// one source of truth for the dispatch conditions.
-StageEngine select_engine(const MappedLayer& m, int stage,
-                          const HardwareConfig& cfg, bool packed_eval);
-PackedKernel select_packed_kernel(const MappedLayer& m,
-                                  const HardwareConfig& cfg);
-DacKernel select_dac_kernel(const MappedLayer& m);
-
 /// Lowers the mapped network into a CompiledPlan. `meter` (optional) bakes
 /// per-stage prices; epoch is left at 0 — the owner stamps it.
-/// `skip_bounds` (optional) resolves each op's sparsity skip bound: empty /
-/// nullptr leaves every op at -1 (sparsity off); otherwise op `i` of a
-/// hidden/classifier SEI stage gets `max(skip_bounds[i], 0)` and stage 0
-/// stays -1 — compile_plan owns this policy so the interpreter and the
-/// executor cannot disagree on where the predicate applies.
+/// `row_billing` sets skip_bound 0 on every hidden/classifier op (stage 0
+/// stays -1); off leaves every op at -1.
 CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
                           const HardwareConfig& cfg, bool packed_eval,
                           const telemetry::EnergyMeter* meter = nullptr,
-                          const std::vector<int>* skip_bounds = nullptr);
+                          bool row_billing = false);
 
 }  // namespace sei::core

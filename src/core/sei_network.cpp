@@ -19,6 +19,30 @@
 
 namespace sei::core {
 
+namespace {
+
+/// Records one position's input window into the activity histogram: the
+/// window's rows group into 9-row input words (SeiNetwork::kWordRows, the
+/// last one ragged when rows % 9 != 0), and each word's popcount lands in
+/// its bin. An all-zero word drives no row — the "skipped" count.
+void record_activity(int rows, const std::uint64_t* window,
+                     EvalContext::StageActivity& act) {
+  ++act.positions;
+  act.rows_nominal += rows;
+  for (int r0 = 0; r0 < rows; r0 += SeiNetwork::kWordRows) {
+    const int pc = std::popcount(extract_bits64(
+        window, static_cast<std::size_t>(r0),
+        std::min(SeiNetwork::kWordRows, rows - r0)));
+    ++act.words;
+    ++act.hist[pc];
+    act.rows_active += pc;
+    act.rows_charged += pc;
+    if (pc == 0) ++act.words_skipped;
+  }
+}
+
+}  // namespace
+
 SeiNetwork::SeiNetwork(const quant::QNetwork& qnet, const HardwareConfig& cfg,
                        CrossbarHook hook)
     : qnet_(&qnet),
@@ -53,9 +77,16 @@ void SeiNetwork::rebuild_packed(int stage) {
 }
 
 void SeiNetwork::rebuild_plan() {
-  plan_ = compile_plan(layers_, cfg_, packed_eval_, meter_,
-                       skip_bounds_.empty() ? nullptr : &skip_bounds_);
+  plan_ = compile_plan(layers_, cfg_, packed_eval_, meter_, row_billing_);
   plan_.epoch = ++plan_epoch_;
+}
+
+void SeiNetwork::set_skip_bounds(std::vector<int> bounds) {
+  for (const int b : bounds)
+    SEI_CHECK_MSG(b <= 0, "skip bound " << b << " > 0 would drop active rows;"
+                          " only 0 (bill by rows driven) is supported");
+  row_billing_ = !bounds.empty();
+  rebuild_plan();
 }
 
 void SeiNetwork::prepare(EvalContext& ctx) const {
@@ -116,88 +147,21 @@ void SeiNetwork::decide_position(const MappedLayer& m,
   }
 }
 
-void SeiNetwork::mask_window_words(int rows, int skip_bound,
-                                   std::uint64_t* window,
-                                   EvalContext& ctx) const {
-  ctx.sp_nominal += rows;
-  EvalContext::StageActivity* act = ctx.cur_activity;
-  if (act) {
-    ++act->positions;
-    act->rows_nominal += rows;
-  }
-  // Walk the 9-row input words (the last one ragged when rows % 9 != 0).
-  // A word straddles at most two u64s of the packed window.
-  for (int r0 = 0; r0 < rows; r0 += kWordRows) {
-    const int wr = std::min(kWordRows, rows - r0);
-    const std::size_t wi = static_cast<std::size_t>(r0) >> 6;
-    const int off = r0 & 63;
-    std::uint64_t bits = window[wi] >> off;
-    if (off + wr > 64) bits |= window[wi + 1] << (64 - off);
-    bits &= (std::uint64_t{1} << wr) - 1;
-    const int pc = std::popcount(bits);
-    ++ctx.sp_words;
-    if (act) {
-      ++act->words;
-      ++act->hist[pc];
-      act->rows_active += pc;
-    }
-    if (pc <= skip_bound) {
-      ++ctx.sp_skipped;
-      if (act) ++act->words_skipped;
-      if (pc > 0) {
-        const int lo = std::min(wr, 64 - off);
-        window[wi] &= ~(((std::uint64_t{1} << lo) - 1) << off);
-        if (off + wr > 64)
-          window[wi + 1] &= ~((std::uint64_t{1} << (off + wr - 64)) - 1);
-      }
-    } else {
-      ctx.sp_rows += pc;
-      if (act) act->rows_charged += pc;
-    }
-  }
-}
-
-void SeiNetwork::mask_window_counts(int rows, int skip_bound, int* counts,
-                                    EvalContext& ctx) const {
-  ctx.sp_nominal += rows;
-  EvalContext::StageActivity* act = ctx.cur_activity;
-  if (act) {
-    ++act->positions;
-    act->rows_nominal += rows;
-  }
-  const int nwords = (rows + kWordRows - 1) / kWordRows;
-  for (int w = 0; w < nwords; ++w) {
-    const int pc = counts[w];
-    ++ctx.sp_words;
-    if (act) {
-      ++act->words;
-      ++act->hist[pc];
-      act->rows_active += pc;
-    }
-    if (pc <= skip_bound) {
-      ++ctx.sp_skipped;
-      if (act) ++act->words_skipped;
-      counts[w] = -1;
-    } else {
-      ctx.sp_rows += pc;
-      if (act) act->rows_charged += pc;
-    }
-  }
-}
-
 void SeiNetwork::eval_stage_bits(const MappedLayer& m, const quant::BitMap& in,
                                  quant::BitMap& bits_out,
                                  std::vector<float>& scores,
-                                 EvalContext& ctx, int skip_bound) const {
+                                 EvalContext& ctx) const {
   const quant::StageGeometry& g = m.geom;
   SEI_CHECK(in.size() == static_cast<std::size_t>(g.in_h) * g.in_w * g.in_ch);
   const int cols = g.cols, k = m.block_count;
-  if (skip_bound >= 0)
-    ctx.sp_rows = ctx.sp_nominal = ctx.sp_words = ctx.sp_skipped = 0;
+  ctx.rows_driven = 0;
   // Sized once here, zeroed per position below (they start each position
   // dirty with the previous position's sums).
   ctx.block_sums.resize(static_cast<std::size_t>(k) * cols);
   ctx.n_active.resize(static_cast<std::size_t>(k));
+  // The activity histogram reads a packed copy of each position's window.
+  EvalContext::StageActivity* act = ctx.cur_activity;
+  if (act) ctx.window.resize((static_cast<std::size_t>(g.rows) + 63) / 64);
 
   const std::size_t positions = static_cast<std::size_t>(g.out_h) * g.out_w;
   if (m.binarize) ctx.stage_bits.assign(positions * cols, 0);
@@ -210,29 +174,8 @@ void SeiNetwork::eval_stage_bits(const MappedLayer& m, const quant::BitMap& in,
     for (int x = 0; x < g.out_w; ++x) {
       std::fill(ctx.block_sums.begin(), ctx.block_sums.end(), 0.0);
       std::fill(ctx.n_active.begin(), ctx.n_active.end(), 0);
+      if (act) std::fill(ctx.window.begin(), ctx.window.end(), 0);
       const int window_rows = is_conv ? g.kernel : 1;
-      // Sparsity pre-pass: count each 9-row input word's selected inputs,
-      // apply the skip predicate, and drop masked words from the walk
-      // below. The masked rows are never driven, so n_active, sums, votes
-      // and the RNG draw sequence all see the identical reduced input the
-      // packed engines see (they clear the same window bits).
-      const int* wa = nullptr;
-      if (skip_bound >= 0) {
-        const int nwords = (g.rows + kWordRows - 1) / kWordRows;
-        ctx.word_active.assign(static_cast<std::size_t>(nwords), 0);
-        for (int di = 0; di < window_rows; ++di) {
-          const std::uint8_t* in_px =
-              is_conv ? in.data() + (static_cast<std::size_t>(y + di) *
-                                         g.in_w + x) * g.in_ch
-                      : in.data();
-          const int r0 = di * span;
-          for (int t = 0; t < span; ++t)
-            if (in_px[t])
-              ++ctx.word_active[static_cast<std::size_t>(r0 + t) / kWordRows];
-        }
-        mask_window_counts(g.rows, skip_bound, ctx.word_active.data(), ctx);
-        wa = ctx.word_active.data();
-      }
       for (int di = 0; di < window_rows; ++di) {
         const std::uint8_t* in_px =
             is_conv ? in.data() + (static_cast<std::size_t>(y + di) * g.in_w +
@@ -242,7 +185,9 @@ void SeiNetwork::eval_stage_bits(const MappedLayer& m, const quant::BitMap& in,
         for (int t = 0; t < span; ++t) {
           if (!in_px[t]) continue;
           const int r = r0 + t;
-          if (wa && wa[r / kWordRows] < 0) continue;
+          if (act)
+            ctx.window[static_cast<std::size_t>(r) >> 6] |=
+                std::uint64_t{1} << (r & 63);
           const int b = m.row_to_block[static_cast<std::size_t>(r)];
           ++ctx.n_active[static_cast<std::size_t>(b)];
           const float* wrow =
@@ -252,6 +197,9 @@ void SeiNetwork::eval_stage_bits(const MappedLayer& m, const quant::BitMap& in,
           for (int c = 0; c < cols; ++c) sums[c] += wrow[c];
         }
       }
+      for (int b = 0; b < k; ++b)
+        ctx.rows_driven += ctx.n_active[static_cast<std::size_t>(b)];
+      if (act) record_activity(g.rows, ctx.window.data(), *act);
       if (m.binarize) {
         decide_position(
             m, ctx.block_sums.data(), ctx.n_active.data(),
@@ -588,14 +536,16 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
                                    const quant::PackedBits& in,
                                    quant::PackedBits& bits_out,
                                    std::vector<float>& scores,
-                                   EvalContext& ctx, int skip_bound) const {
+                                   EvalContext& ctx) const {
   const quant::StageGeometry& g = m.geom;
   const PackedStage& ps = m.packed;
   SEI_CHECK(ps.valid);
   SEI_CHECK(in.bits == static_cast<std::size_t>(g.in_h) * g.in_w * g.in_ch);
   const int cols = g.cols, k = m.block_count;
-  if (skip_bound >= 0)
-    ctx.sp_rows = ctx.sp_nominal = ctx.sp_words = ctx.sp_skipped = 0;
+  // Rows driven (the row-billing count) come from counts the kernels take
+  // anyway: Σ n_active per position, or one popcount per window word.
+  std::int64_t rows_driven = 0;
+  EvalContext::StageActivity* act = ctx.cur_activity;
   ctx.block_sums.resize(static_cast<std::size_t>(k) * cols);
   ctx.n_active.resize(static_cast<std::size_t>(k));
 
@@ -607,11 +557,8 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
   const bool is_conv = g.kind == quant::StageSpec::Kind::Conv;
   const int span = is_conv ? g.kernel * g.in_ch : g.rows;
   // FC input is already the full row window (rows == in.bits, zero tail).
-  // Under sparsity the FC window is copied into scratch first — the mask
-  // pass mutates it, and the caller's packed activations must survive.
   const std::uint64_t* window = in.words.data();
-  if (is_conv || skip_bound >= 0)
-    ctx.window.resize(static_cast<std::size_t>(ps.words));
+  if (is_conv) ctx.window.resize(static_cast<std::size_t>(ps.words));
 
 #ifdef SEI_CORE_AVX512
   // Batch-of-8 position pipeline: compact eight conv windows, then run the
@@ -660,15 +607,12 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
                 ctx.window.data(), static_cast<std::size_t>(di) * span,
                 static_cast<std::size_t>(span));
         }
-        // Masking the lane's window before compaction makes the skipped
-        // words' rows invisible to everything downstream — nact8, sums,
-        // votes — exactly as if their transmission gates never opened.
-        if (skip_bound >= 0)
-          mask_window_words(g.rows, skip_bound, ctx.window.data(), ctx);
+        if (act) record_activity(g.rows, ctx.window.data(), *act);
         for (int b = 0; b < k; ++b) {
           const int bspan = ps.block_span[b];
-          ctx.nact8[static_cast<std::size_t>(b) * 8 + p] =
-              compact_block_window(ps, b, ctx.window.data(), lw_tmp);
+          const int na = compact_block_window(ps, b, ctx.window.data(), lw_tmp);
+          ctx.nact8[static_cast<std::size_t>(b) * 8 + p] = na;
+          rows_driven += na;
           std::uint64_t* dst =
               ctx.lw8.data() + static_cast<std::size_t>(ps.block_loff[b]) * 8;
           for (int w = 0; w < bspan; ++w)
@@ -684,6 +628,7 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
       or_pool_packed(ctx.packed_stage, g.out_h, g.out_w, cols, bits_out);
     else
       bits_out = ctx.packed_stage;
+    ctx.rows_driven = rows_driven;
     return;
   }
 
@@ -734,22 +679,13 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
           }
           wptr = ctx.window.data();
         }
-        if (skip_bound >= 0) {
-          // Mask in place (FC copies the caller's words into scratch
-          // first); the row walk below then only ever sees surviving
-          // rows, and an all-masked window naturally compares zero sums.
-          if (!is_conv) {
-            std::copy_n(in.words.data(), static_cast<std::size_t>(ps.words),
-                        ctx.window.data());
-            wptr = ctx.window.data();
-          }
-          mask_window_words(g.rows, skip_bound, ctx.window.data(), ctx);
-        }
+        if (act) record_activity(g.rows, wptr, *act);
         __m512i acc0 = _mm512_setzero_si512();
         __m512i acc1 = _mm512_setzero_si512();
         bool flip = false;
         for (int w = 0; w < ps.words; ++w) {
           std::uint64_t bits = wptr[w] & bm[w];
+          rows_driven += std::popcount(bits);
           for (; bits != 0; bits &= bits - 1) {
             const int r = (w << 6) + std::countr_zero(bits);
             const __m512i row = _mm512_loadu_si512(reinterpret_cast<
@@ -769,6 +705,7 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
       or_pool_packed(ctx.packed_stage, g.out_h, g.out_w, cols, bits_out);
     else
       bits_out = ctx.packed_stage;
+    ctx.rows_driven = rows_driven;
     return;
   }
 #endif
@@ -807,23 +744,15 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
         }
         window = ctx.window.data();
       }
-      if (skip_bound >= 0) {
-        // Mask in place (FC copies the caller's words into scratch first):
-        // the accumulators then see the reduced window directly — skipped
-        // words cost nothing and need no kernel hook.
-        if (!is_conv) {
-          std::copy_n(in.words.data(), static_cast<std::size_t>(ps.words),
-                      ctx.window.data());
-          window = ctx.window.data();
-        }
-        mask_window_words(g.rows, skip_bound, ctx.window.data(), ctx);
-      }
+      if (act) record_activity(g.rows, window, *act);
       if (ps.rows_ok)
         accumulate_position_rows(ps, cols, k, window, ctx.block_sums.data(),
                                  ctx.n_active.data());
       else
         accumulate_position(ps, cols, k, window, ctx.block_sums.data(),
                             ctx.n_active.data());
+      for (int b = 0; b < k; ++b)
+        rows_driven += ctx.n_active[static_cast<std::size_t>(b)];
       if (m.binarize) {
 #ifdef SEI_CORE_AVX512
         if (cfg_.device.read_noise_sigma <= 0.0) {
@@ -846,6 +775,7 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
     }
   }
 
+  ctx.rows_driven = rows_driven;
   if (m.binarize) {
     writer.finish();
     if (g.pool_after)
@@ -1167,53 +1097,6 @@ void SeiNetwork::eval_stage_dac(const MappedLayer& m, DacKernel kern,
   }
 }
 
-void SeiNetwork::eval_stage(std::size_t i, std::span<const float> image,
-                            EvalContext& ctx, bool& packed_live) const {
-  const MappedLayer& m = layers_[i];
-  // Same selection logic the plan compiler runs once — one source of truth
-  // for dispatch; here it is re-derived per call (that is the cost the plan
-  // executor removes). The skip bound comes from the always-compiled plan
-  // for the same reason.
-  const StageEngine engine =
-      select_engine(m, static_cast<int>(i), cfg_, packed_eval_);
-  const int sb = op_skip_bound(i);
-  ctx.cur_activity = ctx.activity ? ctx.activity + i : nullptr;
-  switch (engine) {
-    case StageEngine::kDacDense:
-      eval_stage_dac(m, select_dac_kernel(m), image, ctx.packed_pooled,
-                     ctx.scores, ctx);
-      if (m.binarize) {
-        std::swap(ctx.packed_bits, ctx.packed_pooled);
-        packed_live = true;
-      }
-      return;
-    case StageEngine::kScalarFloat:
-      eval_stage_float(m, image, ctx.pooled_bits, ctx.scores, ctx);
-      if (m.binarize) {
-        std::swap(ctx.bits, ctx.pooled_bits);
-        packed_live = false;
-      }
-      return;
-    case StageEngine::kPackedBits:
-      if (!packed_live) quant::pack_bits(ctx.bits, ctx.packed_bits);
-      eval_stage_packed(m, select_packed_kernel(m, cfg_), ctx.packed_bits,
-                        ctx.packed_pooled, ctx.scores, ctx, sb);
-      if (m.binarize) {
-        std::swap(ctx.packed_bits, ctx.packed_pooled);
-        packed_live = true;
-      }
-      return;
-    case StageEngine::kScalarBits:
-      if (packed_live) quant::unpack_bits(ctx.packed_bits, ctx.bits);
-      eval_stage_bits(m, ctx.bits, ctx.pooled_bits, ctx.scores, ctx, sb);
-      if (m.binarize) {
-        std::swap(ctx.bits, ctx.pooled_bits);
-        packed_live = false;
-      }
-      return;
-  }
-}
-
 int SeiNetwork::packed_stage_count() const {
   int n = 0;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
@@ -1239,46 +1122,17 @@ Result<int> SeiNetwork::try_predict(std::span<const float> image,
                                     EvalContext& ctx,
                                     long long image_index) const {
   prepare(ctx);
-  if (plan_mode_ && plan_.valid()) return run_plan(image, ctx, image_index);
-  // Interpreter: per-stage dispatch re-derived each call. Retained as the
-  // reference path the equivalence suite pins the plan against.
-  bool packed_live = false;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    // The stage boundary is the cancellation point: coarse enough to stay
-    // free when no token is armed, fine enough that a request misses its
-    // deadline by at most one stage of work.
-    if (ctx.cancel && ctx.cancel->expired()) return ctx.cancel->to_error();
-    const MappedLayer& m = layers_[i];
-    ctx.rng = stage_stream(image_index, static_cast<int>(i));
-    eval_stage(i, image, ctx, packed_live);
-    if (ctx.meter && ctx.energy) {
-      // Identical call to the plan executor's charge() — one arithmetic
-      // path, so interpreter and plan energies are bit-equal.
-      if (op_skip_bound(i) >= 0)
-        ctx.meter->charge_stage_rows(i, ctx.sp_rows, *ctx.energy);
-      else
-        ctx.meter->charge_stage(i, *ctx.energy);
-    }
-    if (!m.binarize) {
-      if (ctx.energy) ++ctx.energy->images;
-      return static_cast<int>(
-          std::max_element(ctx.scores.begin(), ctx.scores.end()) -
-          ctx.scores.begin());
-    }
-  }
-  SEI_CHECK_MSG(false, "network has no classifier stage");
-  return -1;
+  return run_plan(image, ctx, image_index, 0, plan_.ops.size());
 }
 
 void SeiNetwork::charge(const StageOp& op, EvalContext& ctx) const {
   if (!ctx.meter || !ctx.energy) return;
   if (op.skip_bound >= 0) {
     // Activation-proportional charging: the baked uniform price cannot
-    // apply (energy varies per image), so both executors route through
-    // charge_stage_rows — the single implementation keeps their energies
-    // bit-equal.
+    // apply (energy varies per image), so the stage pays for the rows its
+    // engine reported driving.
     ctx.meter->charge_stage_rows(static_cast<std::size_t>(op.stage),
-                                 ctx.sp_rows, *ctx.energy);
+                                 ctx.rows_driven, *ctx.energy);
     return;
   }
   if constexpr (telemetry::kEnabled) {
@@ -1296,17 +1150,26 @@ void SeiNetwork::charge(const StageOp& op, EvalContext& ctx) const {
 }
 
 Result<int> SeiNetwork::run_plan(std::span<const float> image,
-                                 EvalContext& ctx,
-                                 long long image_index) const {
-  for (const StageOp& op : plan_.ops) {
+                                 EvalContext& ctx, long long image_index,
+                                 std::size_t first, std::size_t last) const {
+  for (std::size_t i = first; i < last; ++i) {
+    // The stage boundary is the cancellation point: coarse enough to stay
+    // free when no token is armed, fine enough that a request misses its
+    // deadline by at most one stage of work.
     if (ctx.cancel && ctx.cancel->expired()) return ctx.cancel->to_error();
+    const StageOp& op = plan_.ops[i];
     const MappedLayer& m = layers_[static_cast<std::size_t>(op.stage)];
     ctx.rng = stage_stream(image_index, op.stage);
-    ctx.cur_activity = ctx.activity ? ctx.activity + op.stage : nullptr;
+    ctx.cur_activity = ctx.activity && op.skip_bound >= 0
+                           ? ctx.activity + op.stage
+                           : nullptr;
     // Form converts were resolved at compile time; the ops below are no-ops
     // for almost every stage boundary (engines of adjacent stages agree).
-    if (op.pack_input) quant::pack_bits(ctx.bits, ctx.packed_bits);
-    else if (op.unpack_input) quant::unpack_bits(ctx.packed_bits, ctx.bits);
+    // A range entering at a hidden stage starts from byte maps.
+    if (i == first ? op.in_form == ActForm::kPacked : op.pack_input)
+      quant::pack_bits(ctx.bits, ctx.packed_bits);
+    else if (i != first && op.unpack_input)
+      quant::unpack_bits(ctx.packed_bits, ctx.bits);
     switch (op.engine) {
       case StageEngine::kDacDense:
         eval_stage_dac(m, op.dac_kernel, image, ctx.packed_pooled, ctx.scores,
@@ -1319,12 +1182,11 @@ Result<int> SeiNetwork::run_plan(std::span<const float> image,
         break;
       case StageEngine::kPackedBits:
         eval_stage_packed(m, op.packed_kernel, ctx.packed_bits,
-                          ctx.packed_pooled, ctx.scores, ctx, op.skip_bound);
+                          ctx.packed_pooled, ctx.scores, ctx);
         if (!op.classifier) std::swap(ctx.packed_bits, ctx.packed_pooled);
         break;
       case StageEngine::kScalarBits:
-        eval_stage_bits(m, ctx.bits, ctx.pooled_bits, ctx.scores, ctx,
-                        op.skip_bound);
+        eval_stage_bits(m, ctx.bits, ctx.pooled_bits, ctx.scores, ctx);
         if (!op.classifier) std::swap(ctx.bits, ctx.pooled_bits);
         break;
     }
@@ -1336,7 +1198,7 @@ Result<int> SeiNetwork::run_plan(std::span<const float> image,
           ctx.scores.begin());
     }
   }
-  SEI_CHECK_MSG(false, "plan has no classifier op");
+  SEI_CHECK_MSG(last < plan_.ops.size(), "plan has no classifier op");
   return -1;
 }
 
@@ -1388,6 +1250,9 @@ double SeiNetwork::error_rate(const data::Dataset& d, int max_images) const {
 std::vector<quant::BitMap> SeiNetwork::cache_stage_inputs(
     const data::Dataset& d, int stage, int max_images) const {
   SEI_CHECK(stage >= 1 && stage < stage_count());
+  const auto head = static_cast<std::size_t>(stage);
+  for (std::size_t s = 0; s < head; ++s)
+    SEI_CHECK_MSG(!plan_.ops[s].classifier, "cannot cache past the classifier");
   const int n = max_images < 0 ? d.size() : std::min(max_images, d.size());
   const std::size_t per_image =
       d.images.numel() / static_cast<std::size_t>(d.size());
@@ -1396,35 +1261,25 @@ std::vector<quant::BitMap> SeiNetwork::cache_stage_inputs(
   exec::parallel_for_chunks(n, exec::kEvalGrain, [&](int lo, int hi) {
     EvalContext ctx;
     telemetry::EnergyAccum acc;
+    if (meter_each) {  // each stage costs its actual driven rows
+      ctx.meter = meter_;
+      ctx.energy = &acc;
+    }
     for (int i = lo; i < hi; ++i) {
       const std::span<const float> img{
           d.images.data() + static_cast<std::size_t>(i) * per_image,
           per_image};
-      bool packed_live = false;
-      for (int s = 0; s < stage; ++s) {
-        const MappedLayer& m = layers_[static_cast<std::size_t>(s)];
-        SEI_CHECK_MSG(m.binarize, "cannot cache past the classifier");
-        ctx.rng = stage_stream(i, s);
-        eval_stage(static_cast<std::size_t>(s), img, ctx, packed_live);
-        // Sparsity on: each stage costs its actual activated rows.
-        if (meter_each) {
-          const std::size_t si = static_cast<std::size_t>(s);
-          if (op_skip_bound(si) >= 0)
-            meter_->charge_stage_rows(si, ctx.sp_rows, acc);
-          else
-            meter_->charge_stage(si, acc);
-        }
-      }
+      (void)run_plan(img, ctx, i, 0, head).value();
       // The cache contract is byte maps; unpack clean 0/1 bytes if the
       // last stage ran packed.
-      if (packed_live) quant::unpack_bits(ctx.packed_bits, ctx.bits);
+      if (plan_.ops[head - 1].out_form == ActForm::kPacked)
+        quant::unpack_bits(ctx.packed_bits, ctx.bits);
       out[static_cast<std::size_t>(i)] = ctx.bits;
     }
     // Partial evaluations (stages [0, stage) only): no image count —
     // these are not full inferences. Dense networks charge in bulk.
     if (!meter_each && meter_) {
-      meter_->charge_stages(0, static_cast<std::size_t>(stage),
-                            static_cast<std::uint64_t>(hi - lo), acc);
+      meter_->charge_stages(0, head, static_cast<std::uint64_t>(hi - lo), acc);
     }
     if (meter_) {
       telemetry::publish_energy(telemetry::MetricsRegistry::global(),
@@ -1438,6 +1293,7 @@ double SeiNetwork::error_rate_from(
     const data::Dataset& d, int stage,
     const std::vector<quant::BitMap>& inputs) const {
   SEI_CHECK(stage >= 1 && stage < stage_count());
+  const auto tail = static_cast<std::size_t>(stage);
   const int n = static_cast<int>(inputs.size());
   SEI_CHECK(n > 0 && n <= d.size());
   const bool meter_each = sparsity_enabled() && meter_ != nullptr;
@@ -1445,40 +1301,24 @@ double SeiNetwork::error_rate_from(
       n, exec::kEvalGrain, 0LL, [&](int lo, int hi) {
         EvalContext ctx;
         telemetry::EnergyAccum acc;
+        if (meter_each) {
+          ctx.meter = meter_;
+          ctx.energy = &acc;
+        }
         long long c = 0;
         for (int i = lo; i < hi; ++i) {
           ctx.bits = inputs[static_cast<std::size_t>(i)];
-          bool packed_live = false;
-          int pred = -1;
-          for (int s = stage; s < stage_count(); ++s) {
-            const MappedLayer& m = layers_[static_cast<std::size_t>(s)];
-            // Same per-(image, stage) stream a full predict would use, so
-            // tail evaluation replays the identical noise draws.
-            ctx.rng = stage_stream(i, s);
-            eval_stage(static_cast<std::size_t>(s), {}, ctx, packed_live);
-            if (meter_each) {
-              const std::size_t si = static_cast<std::size_t>(s);
-              if (op_skip_bound(si) >= 0)
-                meter_->charge_stage_rows(si, ctx.sp_rows, acc);
-              else
-                meter_->charge_stage(si, acc);
-            }
-            if (!m.binarize) {
-              pred = static_cast<int>(
-                  std::max_element(ctx.scores.begin(), ctx.scores.end()) -
-                  ctx.scores.begin());
-              break;
-            }
-          }
-          if (meter_each) ++acc.images;
+          // Same per-(image, stage) streams a full predict would use, so
+          // tail evaluation replays the identical noise draws.
+          const int pred =
+              run_plan({}, ctx, i, tail, plan_.ops.size()).value();
           if (pred == d.labels[static_cast<std::size_t>(i)]) ++c;
         }
         // Tail evaluations run stages [stage, end) per image; dense
         // networks bulk-charge the uniform price.
         if (!meter_each && meter_) {
           const auto images = static_cast<std::uint64_t>(hi - lo);
-          meter_->charge_stages(static_cast<std::size_t>(stage),
-                                meter_->stage_count(), images, acc);
+          meter_->charge_stages(tail, meter_->stage_count(), images, acc);
           acc.images = images;
         }
         if (meter_) {

@@ -7,14 +7,14 @@
 // final classifier stage sums its block currents and is read out by
 // winner-take-all. The input layer is driven through `input_bits` DACs.
 //
-// Evaluation dispatch is compiled, not interpreted: construction (and
-// every remap / fault / restore / engine switch) lowers the mapped layers
-// into a CompiledPlan (core/plan.hpp) — engines and sub-kernels resolved
-// per stage, explicit byte↔word converts, per-stage energy prices baked
-// in, exact scratch bounds. try_predict runs the plan; the legacy
-// per-stage dispatch remains available as the interpreter
-// (set_plan_mode(false)) and is pinned bit-identical to the plan by
-// tests/test_determinism.cpp.
+// Evaluation dispatch is compiled: construction (and every remap / fault /
+// restore / engine switch) lowers the mapped layers into a CompiledPlan
+// (core/plan.hpp) — engines and sub-kernels resolved per stage, explicit
+// byte↔word converts, per-stage energy prices baked in, exact scratch
+// bounds. One executor (run_plan) walks any range of that plan: try_predict
+// runs all of it, cache_stage_inputs a head and error_rate_from a tail.
+// The scalar engines (set_packed_eval(false)) are the reference the packed
+// kernels are pinned bit-identical to by tests/test_determinism.cpp.
 #pragma once
 
 #include <span>
@@ -31,8 +31,8 @@ class SeiNetwork {
  public:
   /// Rows per switched sub-crossbar input word. The paper's Table 1 groups
   /// a 3x3 binary kernel window's 9 inputs into one "input data" word and
-  /// gates the matching 9 crossbar rows together; the sparsity predicate
-  /// (set_skip_bounds) decides per word, never per row.
+  /// gates the matching 9 crossbar rows together; the activity histogram
+  /// (EvalContext::StageActivity) counts ones per word.
   static constexpr int kWordRows = 9;
 
   /// Maps every stage of `qnet` with default row orders (homogenized where
@@ -72,12 +72,6 @@ class SeiNetwork {
   /// The compiled program driving try_predict (diagnostics, benches, docs).
   const CompiledPlan& plan() const { return plan_; }
 
-  /// Plan executor on/off (default on). Off runs the retained per-stage
-  /// interpreter — the reference the equivalence suite compares against.
-  /// Both produce bit-identical results; this only trades dispatch cost.
-  void set_plan_mode(bool on) { plan_mode_ = on; }
-  bool plan_mode() const { return plan_mode_; }
-
   /// Ensures `ctx`'s bound capacity covers the current plan (one arena
   /// allocation on first use; free afterwards — binding is capacity-based,
   /// so a context hops between same-geometry fleet replicas without ever
@@ -97,26 +91,19 @@ class SeiNetwork {
   }
   const telemetry::EnergyMeter* meter() const { return meter_; }
 
-  /// Per-stage sparsity skip bounds (docs/sparsity.md). Empty (the
-  /// default) turns the sparsity engine off — the exact pre-sparsity
-  /// behavior, zero new work on the hot path. Non-empty enables the skip
-  /// predicate at the paper's sub-crossbar granularity: a stage's input
-  /// rows group into 9-row words (kWordRows, Table 1), and a word whose
-  /// selected-input count is <= bounds[stage] is switched off — masked out
-  /// of the input window before accumulation, so its rows are never driven
-  /// and every engine (scalar oracle included) sees the identical reduced
-  /// input. Every SEI stage then switches to activation-proportional
-  /// per-row energy charging. Missing entries read as bound 0; stage 0 is
-  /// always exempt (DAC-driven rows have no transmission gates to switch
-  /// off). At bound 0 only all-zero words mask, which changes no input
-  /// bit, so predictions, noise draws and votes stay bit-identical to the
-  /// dense path. Recompiles the plan.
-  void set_skip_bounds(std::vector<int> bounds) {
-    skip_bounds_ = std::move(bounds);
-    rebuild_plan();
-  }
-  const std::vector<int>& skip_bounds() const { return skip_bounds_; }
-  bool sparsity_enabled() const { return !skip_bounds_.empty(); }
+  /// Row billing (docs/sparsity.md). Empty bounds (the default) charge
+  /// every stage its uniform per-picture price. Any non-empty vector turns
+  /// on activation-proportional billing: each SEI hidden/classifier stage
+  /// is charged for the rows its 1-bit inputs actually drove (the
+  /// transmission gates of inactive rows stay open — Table 1), counted by
+  /// the kernels themselves; stage 0 is DAC-driven and keeps its uniform
+  /// price. A bound of 0 (or below) is the only supported value: the
+  /// predicate it names switches off all-zero 9-row words, which drive no
+  /// rows anyway, so predictions are those of the dense network. A value
+  /// > 0 would drop active rows and fails with CheckError before anything
+  /// changes. Recompiles the plan.
+  void set_skip_bounds(std::vector<int> bounds);
+  bool sparsity_enabled() const { return row_billing_; }
 
   /// Engine switch (initialized from cfg.packed_eval): when on, stages with
   /// a valid integer decomposition run the bit-packed AND+popcount core;
@@ -173,13 +160,12 @@ class SeiNetwork {
   /// Pre-threshold block evaluation of one stage at every output position.
   /// `bits_out` receives the post-vote (post-pool) activations for hidden
   /// stages; `scores` the classifier sums for the final stage. Scratch and
-  /// read noise come from `ctx`.
-  /// `skip_bound` is the op's resolved sparsity bound (core/plan.hpp):
-  /// < 0 runs the pre-sparsity fast path; >= 0 applies the skip predicate
-  /// and maintains ctx's per-stage sparsity counters.
+  /// read noise come from `ctx`. The hidden/classifier engines also leave
+  /// the stage's driven-row count in ctx.rows_driven and, when
+  /// ctx.cur_activity is set, record the activity histogram.
   void eval_stage_bits(const MappedLayer& m, const quant::BitMap& in,
                        quant::BitMap& bits_out, std::vector<float>& scores,
-                       EvalContext& ctx, int skip_bound) const;
+                       EvalContext& ctx) const;
   void eval_stage_float(const MappedLayer& m, std::span<const float> in,
                         quant::BitMap& bits_out, std::vector<float>& scores,
                         EvalContext& ctx) const;
@@ -187,56 +173,29 @@ class SeiNetwork {
   /// Bit-packed engines (core/bitpack): `eval_stage_packed` is the hidden/
   /// classifier stage on packed words; `eval_stage_dac` the stage-0 variant
   /// that caches the DAC output once per image and accumulates densely.
-  /// The sub-kernel is resolved at plan-compile time (core/plan.cpp); the
-  /// interpreter re-derives it per call via select_*_kernel.
+  /// The sub-kernel is resolved at plan-compile time (core/plan.cpp).
   void eval_stage_packed(const MappedLayer& m, PackedKernel kern,
                          const quant::PackedBits& in,
                          quant::PackedBits& bits_out,
-                         std::vector<float>& scores, EvalContext& ctx,
-                         int skip_bound) const;
+                         std::vector<float>& scores, EvalContext& ctx) const;
   void eval_stage_dac(const MappedLayer& m, DacKernel kern,
                       std::span<const float> in, quant::PackedBits& bits_out,
                       std::vector<float>& scores, EvalContext& ctx) const;
 
-  /// Interpreter step: runs stage `i` on ctx's live activations (`image`
-  /// feeds stage 0 only), re-deriving the engine per call. `packed_live`
-  /// is the caller-tracked live activation form (word vs byte).
-  void eval_stage(std::size_t i, std::span<const float> image,
-                  EvalContext& ctx, bool& packed_live) const;
-
-  /// Plan executor: flat op walk, engines and converts pre-resolved.
+  /// The executor: runs plan ops [first, last) on ctx's live activations,
+  /// engines and converts pre-resolved. `image` feeds stage 0 only; an
+  /// entry at a hidden stage (first > 0) reads byte maps from ctx.bits and
+  /// packs them when that op runs packed. Returns the label when the range
+  /// ends in the classifier, else -1 with the last op's output live.
   Result<int> run_plan(std::span<const float> image, EvalContext& ctx,
-                       long long image_index) const;
+                       long long image_index, std::size_t first,
+                       std::size_t last) const;
 
-  /// Charges one completed stage: per activated row when the op ran with
-  /// the sparsity predicate (charge_stage_rows — one implementation, so
-  /// interpreter and plan energies are bit-equal), else the baked plan
+  /// Charges one completed stage — the only billing path: per driven row
+  /// when the op bills by rows (charge_stage_rows), else the baked plan
   /// price when the context meters against the plan's meter, dynamic
   /// charge_stage otherwise.
   void charge(const StageOp& op, EvalContext& ctx) const;
-
-  /// Stage `i`'s resolved skip bound, read from the always-compiled plan —
-  /// compile_plan owns the policy, so the interpreter cannot disagree with
-  /// the executor on where the predicate applies.
-  int op_skip_bound(std::size_t i) const {
-    return i < plan_.ops.size() ? plan_.ops[i].skip_bound : -1;
-  }
-
-  /// Applies the skip predicate to one position's packed input window in
-  /// place: walks the 9-row input words (kWordRows), clears words whose
-  /// popcount is <= skip_bound, and updates ctx's sparsity counters and
-  /// the optional activity histogram cell. Shared by every packed kernel;
-  /// the scalar oracle applies the identical predicate via its per-word
-  /// selected-input counts (mask_window_counts).
-  void mask_window_words(int rows, int skip_bound, std::uint64_t* window,
-                         EvalContext& ctx) const;
-
-  /// Scalar twin of mask_window_words: the same predicate and counter
-  /// updates driven by per-word selected-input counts (ctx.word_active)
-  /// instead of a packed window. Returns via `counts` which words
-  /// survive: a masked word's count is set to -1.
-  void mask_window_counts(int rows, int skip_bound, int* counts,
-                          EvalContext& ctx) const;
 
   /// Classifier readout: merges one position's block currents into scores.
   void merge_classifier(const MappedLayer& m, std::vector<float>& scores,
@@ -272,9 +231,8 @@ class SeiNetwork {
   CrossbarHook hook_;
   std::vector<MappedLayer> layers_;
   const telemetry::EnergyMeter* meter_ = nullptr;
-  std::vector<int> skip_bounds_;  // empty: sparsity off (docs/sparsity.md)
+  bool row_billing_ = false;  // docs/sparsity.md
   bool packed_eval_ = true;
-  bool plan_mode_ = true;
   CompiledPlan plan_;
   std::uint64_t plan_epoch_ = 0;
 };

@@ -37,8 +37,8 @@ double ActivityEstimator::charged_fraction() const {
 ActivityEstimator estimate_activity(const core::SeiNetwork& net,
                                     const data::Dataset& d, int max_images) {
   SEI_CHECK_MSG(net.sparsity_enabled(),
-                "estimate_activity needs skip bounds set (use all-zero "
-                "bounds to observe the dense network)");
+                "estimate_activity needs row billing on (all-zero skip "
+                "bounds)");
   const int n = max_images < 0 ? d.size() : std::min(max_images, d.size());
   SEI_CHECK(n > 0);
   const std::size_t per_image =

@@ -1,14 +1,16 @@
-// Runtime activation statistics for the sparsity engine (docs/sparsity.md).
+// Runtime activation statistics of the SEI structure (docs/sparsity.md).
 //
 // The SEI structure switches crossbar rows by their 1-bit inputs, grouped
 // into 9-row sub-crossbar words (the paper's Table 1 "input data" unit,
 // SeiNetwork::kWordRows): the rows a word actually charges per read is the
 // popcount of its selected inputs. ActivityEstimator aggregates those
-// counts per stage: how many (position, word) decisions ran, how many the
-// skip predicate masked off, how many row-activations were driven versus
-// the positions × rows the static accounting assumes, and the per-word
-// popcount histogram (bins 0..9 — the runtime twin of Table 1's
-// distribution of ones per input word).
+// counts per stage: how many (position, word) decisions ran, how many
+// words were all-zero (no row driven), how many row-activations were
+// driven versus the positions × rows the static accounting assumes, and
+// the per-word popcount histogram (bins 0..9 — the runtime twin of
+// Table 1's distribution of ones per input word). It is a meter only: the
+// kernels always run dense, and row billing charges the same driven-row
+// counts.
 //
 // Estimation is a passive observation pass: attach the estimator's cells to
 // an EvalContext and predictions are untouched — the same guarantee the
@@ -66,17 +68,16 @@ class ActivityEstimator {
   // Aggregates over every stage that recorded data (stage 0 and non-SEI
   // stages never do — their cells stay zero and drop out of the ratios).
 
-  /// Fraction of (position, input word) sub-crossbar decisions the skip
-  /// predicate masked off. The headline "skip rate".
+  /// Fraction of (position, input word) sub-crossbar decisions whose word
+  /// was all-zero, so no row of it was driven. The headline "skip rate".
   double skip_rate() const;
 
   /// Sum of selected-input counts over positions × rows: the fraction of
   /// nominal row-activations whose transmission gates actually close.
   double row_activity() const;
 
-  /// Fraction of nominal row-activations charged after skipping (masked
-  /// words' active rows are not driven — at bound 0 this equals
-  /// row_activity, since only all-zero words mask).
+  /// Fraction of nominal row-activations charged by row billing — every
+  /// driven row, so this equals row_activity.
   double charged_fraction() const;
 
  private:
@@ -84,10 +85,10 @@ class ActivityEstimator {
 };
 
 /// Runs `net` over the first `max_images` of `d` (< 0: all) and returns the
-/// accumulated per-stage activity. Requires net.sparsity_enabled() — the
-/// engines only track activity when the skip predicate is armed (bound 0
-/// keeps predictions bit-identical, so estimation at bound 0 observes the
-/// dense network). Deterministic at any thread count.
+/// accumulated per-stage activity. Requires net.sparsity_enabled() (row
+/// billing on, all-zero skip bounds) — the stages it bills by rows are the
+/// ones the engines record. Predictions are the dense network's.
+/// Deterministic at any thread count.
 ActivityEstimator estimate_activity(const core::SeiNetwork& net,
                                     const data::Dataset& d,
                                     int max_images = -1);

@@ -132,7 +132,7 @@ class EnergyMeter {
   /// model (nominal_rows == 0) fall back to charge_stage, so callers may
   /// use this unconditionally when sparsity accounting is on. Pure
   /// arithmetic on baked prices: calling it with the same `rows` yields
-  /// bit-identical accumulators on every path (interpreter, plan, oracle).
+  /// bit-identical accumulators on every engine (packed kernels, oracle).
   void charge_stage_rows(std::size_t i, std::int64_t rows,
                          EnergyAccum& acc) const {
     if constexpr (!kEnabled) {

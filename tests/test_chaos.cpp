@@ -382,12 +382,12 @@ TEST(ChaosScenario, SparseShardBillsConserveAndFitEnvelope) {
     nets.push_back(std::make_unique<core::SeiNetwork>(
         f.qnet, cfg,
         reliability::make_repair_hook(reliability::RepairConfig{}, nullptr)));
-    // Word-skip bound 1 on every eligible stage: enough to make per-image
-    // bills genuinely vary (synthetic digits carry many near-empty 9-row
-    // input words) without tanking accuracy.
+    // Row billing on every eligible stage: each bill varies per image with
+    // the rows its 1-bit inputs drive (synthetic digits leave many 9-row
+    // input words idle).
     nets.back()->set_skip_bounds(
         std::vector<int>(static_cast<std::size_t>(nets.back()->stage_count()),
-                         1));
+                         0));
     ptrs.push_back(nets.back().get());
   }
   core::AdcNetwork fallback(f.qnet, core::AdcConfig{}, f.train);

@@ -25,6 +25,7 @@
 #include "quant/threshold_search.hpp"
 #include "reliability/campaign.hpp"
 #include "serve/fleet.hpp"
+#include "telemetry/metrics.hpp"
 #include "workloads/networks.hpp"
 
 namespace sei {
@@ -115,13 +116,88 @@ TEST(Determinism, CachedTailReplaysFullEvaluationUnderNoise) {
   }
 }
 
-/// Packed-vs-float equivalence harness (docs/kernels.md): runs `n` images
-/// through both engines of the same mapped network and requires
-/// bit-identical predictions, identical batch error rates, and metered
-/// energy equal to 1e-6 pJ. `min_packed` guards against silently testing
-/// the fallback against itself.
+/// Everything error_rate & co. published under path "sei_batch": per-
+/// component femtojoules, then stage, image and per-op event counts.
+std::vector<std::uint64_t> published_batch_counters() {
+  auto& reg = telemetry::MetricsRegistry::global();
+  const std::string p = "{path=\"sei_batch\"";
+  std::vector<std::uint64_t> out;
+  for (const char* c : {"dac", "adc", "sense_amp", "driver", "rram",
+                        "decoder", "digital", "buffer", "wta"})
+    out.push_back(reg.counter("sei_energy_fj_total" + p + ",component=\"" +
+                              c + "\"}")
+                      .value());
+  out.push_back(reg.counter("sei_stages_total" + p + "}").value());
+  out.push_back(reg.counter("sei_images_total" + p + "}").value());
+  for (const char* op : {"crossbar_read", "cell_activation", "sa_compare",
+                         "adc_conversion", "dac_conversion", "driver_op",
+                         "digital_add", "buffer_bit", "wta_read"})
+    out.push_back(
+        reg.counter("sei_ops_total" + p + ",op=\"" + op + "\"}").value());
+  return out;
+}
+
+TEST(Determinism, CachedHeadAndTailMatchFullPassWithRowBilling) {
+  // cache_stage_inputs and error_rate_from run ranges of the same plan a
+  // full pass runs: for every split stage, on both engines, with read noise
+  // and per-image row billing on, the tail reproduces the full error rate
+  // and head + tail publish the full pass's sei_batch energy — event counts
+  // exactly, femtojoules up to one rounding per published chunk.
+  Fixture& f = fixture();
+  core::HardwareConfig cfg;
+  cfg.device.read_noise_sigma = 0.05;
+  core::SeiNetwork hw(f.qnet, cfg);
+  const telemetry::EnergyMeter meter =
+      arch::make_energy_meter(f.qnet, cfg, core::StructureKind::kSei);
+  hw.set_meter(&meter);
+  hw.set_skip_bounds(std::vector<int>(
+      static_cast<std::size_t>(hw.stage_count()), 0));
+  const int n = 120;
+  const auto delta = [](const std::vector<std::uint64_t>& a,
+                        const std::vector<std::uint64_t>& b) {
+    std::vector<std::uint64_t> d(a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) d[i] = b[i] - a[i];
+    return d;
+  };
+  for (const bool packed : {true, false}) {
+    hw.set_packed_eval(packed);
+    const std::vector<std::uint64_t> c0 = published_batch_counters();
+    const double full = hw.error_rate(f.test, n);
+    const std::vector<std::uint64_t> want =
+        delta(c0, published_batch_counters());
+    for (int stage = 1; stage < hw.stage_count(); ++stage) {
+      SCOPED_TRACE(std::string(packed ? "packed" : "scalar") +
+                   " stage=" + std::to_string(stage));
+      const std::vector<std::uint64_t> before = published_batch_counters();
+      const auto cached = hw.cache_stage_inputs(f.test, stage, n);
+      EXPECT_EQ(hw.error_rate_from(f.test, stage, cached), full);
+      const std::vector<std::uint64_t> got =
+          delta(before, published_batch_counters());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (i < 9)  // femtojoules: each publish rounds once
+          EXPECT_NEAR(static_cast<double>(got[i]),
+                      static_cast<double>(want[i]), n)
+              << "counter " << i;
+        else
+          EXPECT_EQ(got[i], want[i]) << "counter " << i;
+      }
+    }
+  }
+  hw.set_meter(nullptr);
+}
+
+/// Packed-vs-scalar equivalence harness (docs/kernels.md, docs/plans.md
+/// §5): runs `n` images through the plan on both engine settings of the
+/// same mapped network and requires bit-identical predictions, identical
+/// batch error rates at 1/2/8 threads, and metered energy equal to 1e-6 pJ
+/// with identical event counts. The packed pass runs with the meter
+/// attached to the network, so it charges the plan's baked per-op prices;
+/// the scalar pass prices through the meter's stage table — pinning the
+/// lowering's price baking too. `min_packed` guards against silently
+/// testing the fallback against itself.
 void expect_engines_match(const quant::QNetwork& qnet, core::SeiNetwork& hw,
                           const data::Dataset& test, int n, int min_packed) {
+  ThreadGuard guard;
   EXPECT_GE(hw.packed_stage_count(), min_packed);
   const telemetry::EnergyMeter meter =
       arch::make_energy_meter(qnet, hw.config(), core::StructureKind::kSei);
@@ -133,27 +209,38 @@ void expect_engines_match(const quant::QNetwork& qnet, core::SeiNetwork& hw,
   };
   std::vector<int> pred[2];
   telemetry::EnergyAccum energy[2];
-  double err[2];
+  std::vector<double> err[2];
   for (int pass = 0; pass < 2; ++pass) {
     hw.set_packed_eval(pass == 0);
+    hw.set_meter(pass == 0 ? &meter : nullptr);
     core::EvalContext ctx;
     ctx.meter = &meter;
     ctx.energy = &energy[pass];
     for (int i = 0; i < n; ++i)
       pred[pass].push_back(hw.predict(image(i), ctx, i));
-    err[pass] = hw.error_rate(test, n);
+    for (const int threads : {1, 2, 8}) {
+      exec::set_default_threads(threads);
+      err[pass].push_back(hw.error_rate(test, n));
+    }
   }
+  hw.set_packed_eval(true);
+  hw.set_meter(nullptr);
   EXPECT_EQ(pred[0], pred[1]);
   EXPECT_EQ(err[0], err[1]);
   EXPECT_NEAR(energy[0].pj.total(), energy[1].pj.total(), 1e-6);
   EXPECT_NEAR(energy[0].pj.interface(), energy[1].pj.interface(), 1e-6);
-  hw.set_packed_eval(true);
+  EXPECT_EQ(energy[0].stages, energy[1].stages);
+  EXPECT_EQ(energy[0].events.sa_compares, energy[1].events.sa_compares);
+  EXPECT_EQ(energy[0].events.cell_activations,
+            energy[1].events.cell_activations);
+  EXPECT_EQ(energy[0].events.dac_conversions, energy[1].events.dac_conversions);
 }
 
 TEST(Determinism, PackedEngineMatchesFloatAcrossNetworks) {
-  // All three paper networks, noise-free: every stage must take the packed
-  // path (integral weights + stage-0 DAC bound) and reproduce the scalar
-  // reference bit-for-bit.
+  // All three paper networks under every mapping shape (whole-matrix, split
+  // with homogenized round-robin order, split with natural order), noise-
+  // free and with stochastic readout in the loop: the packed kernels must
+  // reproduce the scalar engines bit-for-bit in each combination.
   data::Dataset train = data::generate_synthetic(500, 81);
   data::Dataset test = data::generate_synthetic(120, 82);
   for (const char* name : {"network1", "network2", "network3"}) {
@@ -166,10 +253,26 @@ TEST(Determinism, PackedEngineMatchesFloatAcrossNetworks) {
     sc.max_search_images = 150;
     sc.step = 0.1;
     quant::QNetwork qnet = quant::quantize_network(net, wl.topo, train, sc).qnet;
-    core::HardwareConfig cfg;
-    core::SeiNetwork hw(qnet, cfg);
-    SCOPED_TRACE(name);
-    expect_engines_match(qnet, hw, test, 120, hw.stage_count());
+    struct Variant {
+      const char* tag;
+      int max_rows;
+      bool homogenize;
+    };
+    for (const Variant& v : {Variant{"whole", 0, true},
+                             Variant{"split homogenized", 64, true},
+                             Variant{"split natural", 64, false}}) {
+      for (const double noise : {0.0, 0.05}) {
+        core::HardwareConfig cfg;
+        cfg.device.read_noise_sigma = noise;
+        if (v.max_rows > 0) cfg.limits.max_rows = v.max_rows;
+        cfg.homogenize = v.homogenize;
+        core::SeiNetwork hw(qnet, cfg);
+        SCOPED_TRACE(std::string(name) + " / " + v.tag + " / noise " +
+                     std::to_string(noise));
+        expect_engines_match(qnet, hw, test, noise > 0.0 ? 60 : 120,
+                             hw.stage_count());
+      }
+    }
   }
 }
 
@@ -413,102 +516,6 @@ TEST(LazyDecide, ColumnBandMatchesEagerPerReadLoop) {
       }
     }
   }
-}
-
-/// Plan-vs-interpreter equivalence harness (docs/plans.md §5): runs `n`
-/// images through the compiled plan and through the retained per-stage
-/// interpreter on the same mapped network, requiring bit-identical
-/// predictions, identical batch error rates at 1/2/8 threads, and metered
-/// energy equal to 1e-6 pJ. The meter is attached to the network so the
-/// plan pass exercises the baked per-op prices while the interpreter pass
-/// prices dynamically — pinning the lowering's price baking too.
-void expect_plan_matches_interpreter(const quant::QNetwork& qnet,
-                                     core::SeiNetwork& hw,
-                                     const data::Dataset& test, int n) {
-  ThreadGuard guard;
-  const telemetry::EnergyMeter meter =
-      arch::make_energy_meter(qnet, hw.config(), core::StructureKind::kSei);
-  hw.set_meter(&meter);
-  const std::size_t per_image = 28 * 28;
-  auto image = [&](int i) {
-    return std::span<const float>{
-        test.images.data() + static_cast<std::size_t>(i) * per_image,
-        per_image};
-  };
-  std::vector<int> pred[2];
-  telemetry::EnergyAccum energy[2];
-  std::vector<double> err[2];
-  for (int pass = 0; pass < 2; ++pass) {
-    hw.set_plan_mode(pass == 0);
-    core::EvalContext ctx;
-    ctx.meter = &meter;
-    ctx.energy = &energy[pass];
-    for (int i = 0; i < n; ++i)
-      pred[pass].push_back(hw.predict(image(i), ctx, i));
-    for (const int threads : {1, 2, 8}) {
-      exec::set_default_threads(threads);
-      err[pass].push_back(hw.error_rate(test, n));
-    }
-  }
-  hw.set_plan_mode(true);
-  hw.set_meter(nullptr);
-  EXPECT_EQ(pred[0], pred[1]);
-  EXPECT_EQ(err[0], err[1]);
-  EXPECT_NEAR(energy[0].pj.total(), energy[1].pj.total(), 1e-6);
-  EXPECT_NEAR(energy[0].pj.interface(), energy[1].pj.interface(), 1e-6);
-  EXPECT_EQ(energy[0].stages, energy[1].stages);
-  EXPECT_EQ(energy[0].events.sa_compares, energy[1].events.sa_compares);
-  EXPECT_EQ(energy[0].events.cell_activations,
-            energy[1].events.cell_activations);
-  EXPECT_EQ(energy[0].events.dac_conversions, energy[1].events.dac_conversions);
-}
-
-TEST(Determinism, PlanMatchesInterpreterAcrossNetworksAndMappings) {
-  // Every paper network under every mapping shape (whole-matrix, split with
-  // homogenized round-robin order, split with natural order), all with
-  // stochastic readout in the loop: the compiled plan must reproduce the
-  // interpreter bit-for-bit in each combination.
-  data::Dataset train = data::generate_synthetic(500, 83);
-  data::Dataset test = data::generate_synthetic(120, 84);
-  for (const char* name : {"network1", "network2", "network3"}) {
-    const workloads::Workload wl = workloads::workload_by_name(name);
-    nn::Network net = workloads::build_float_network(wl.topo, 57);
-    nn::TrainConfig tc;
-    tc.epochs = 1;
-    nn::Trainer(tc).fit(net, train.images, train.label_span());
-    quant::SearchConfig sc;
-    sc.max_search_images = 150;
-    sc.step = 0.1;
-    quant::QNetwork qnet = quant::quantize_network(net, wl.topo, train, sc).qnet;
-
-    struct Variant {
-      const char* tag;
-      int max_rows;
-      bool homogenize;
-    };
-    for (const Variant& v : {Variant{"whole", 0, true},
-                             Variant{"split homogenized", 64, true},
-                             Variant{"split natural", 64, false}}) {
-      core::HardwareConfig cfg;
-      cfg.device.read_noise_sigma = 0.05;
-      if (v.max_rows > 0) cfg.limits.max_rows = v.max_rows;
-      cfg.homogenize = v.homogenize;
-      core::SeiNetwork hw(qnet, cfg);
-      SCOPED_TRACE(std::string(name) + " / " + v.tag);
-      expect_plan_matches_interpreter(qnet, hw, test, 60);
-    }
-  }
-}
-
-TEST(Determinism, PlanMatchesInterpreterOnNonIntegralFallback) {
-  // Programming noise breaks integrality, so the plan lowers every stage to
-  // the scalar engines — the compiled dispatch must still match.
-  Fixture& f = fixture();
-  core::HardwareConfig cfg;
-  cfg.device.program_sigma = 0.03;
-  core::SeiNetwork hw(f.qnet, cfg);
-  EXPECT_EQ(hw.packed_stage_count(), 0);
-  expect_plan_matches_interpreter(f.qnet, hw, f.test, 60);
 }
 
 TEST(Determinism, PackedErrorRateIdenticalAcrossThreadCounts) {

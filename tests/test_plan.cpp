@@ -113,13 +113,15 @@ TEST(Plan, LowersEveryStageWithResolvedEnginesAndForms) {
   const core::CompiledPlan& plan = hw.plan();
   ASSERT_TRUE(plan.valid());
   ASSERT_EQ(static_cast<int>(plan.ops.size()), hw.stage_count());
+  // Integral weights: every stage resolves to its packed engine.
+  ASSERT_EQ(hw.packed_stage_count(), hw.stage_count());
 
   core::ActForm live = core::ActForm::kImage;
   for (std::size_t i = 0; i < plan.ops.size(); ++i) {
     const core::StageOp& op = plan.ops[i];
     EXPECT_EQ(op.stage, static_cast<int>(i));
-    EXPECT_EQ(op.engine, core::select_engine(hw.layer(op.stage), op.stage,
-                                             hw.config(), hw.packed_eval()));
+    EXPECT_EQ(op.engine, i == 0 ? core::StageEngine::kDacDense
+                                : core::StageEngine::kPackedBits);
     // The convert chain must be coherent: after an explicit pack/unpack the
     // op's input form matches what the previous op left live.
     if (op.pack_input) {
@@ -163,7 +165,6 @@ TEST(Plan, InsertsExplicitConvertsAroundScalarIsland) {
   std::vector<int> compiled;
   core::EvalContext ctx;
   for (int i = 0; i < 40; ++i) compiled.push_back(hw.predict(f.image(i), ctx, i));
-  hw.set_plan_mode(false);
   hw.set_packed_eval(false);
   for (int i = 0; i < 40; ++i)
     EXPECT_EQ(hw.predict(f.image(i), ctx, i),

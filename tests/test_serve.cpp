@@ -690,8 +690,9 @@ TEST(FaultSchedule, PlanRebuiltAfterApplyFault) {
   // apply_fault mutates the live effective weights, so it must rebuild the
   // packed decompositions and recompile the plan — a stale plan would keep
   // dispatching engines (and packed words) programmed for the healthy
-  // weights. The compiled path must agree with the pure scalar interpreter
-  // evaluated on the damaged state, and the rebuild must bump the epoch.
+  // weights. The packed plan must agree with the plan recompiled onto the
+  // scalar engines on the damaged state, and the rebuild must bump the
+  // epoch.
   Fixture& f = fixture();
   core::SeiNetwork hw(f.qnet, core::HardwareConfig{});
   const std::uint64_t epoch_before = hw.plan().epoch;
@@ -702,14 +703,12 @@ TEST(FaultSchedule, PlanRebuiltAfterApplyFault) {
   serve::apply_fault(hw, ev, /*seed=*/1234, /*event_index=*/0);
   EXPECT_GT(hw.plan().epoch, epoch_before);
 
-  // Scalar interpreter reads the damaged `eff` directly — ground truth.
+  // The scalar engines read the damaged `eff` directly — ground truth.
   std::vector<int> scalar_ref;
-  hw.set_plan_mode(false);
   hw.set_packed_eval(false);
   core::EvalContext ctx;
   for (int i = 0; i < 40; ++i) scalar_ref.push_back(hw.predict(f.image(i), ctx, i));
   hw.set_packed_eval(true);
-  hw.set_plan_mode(true);
   for (int i = 0; i < 40; ++i)
     EXPECT_EQ(hw.predict(f.image(i), ctx, i),
               scalar_ref[static_cast<std::size_t>(i)])
@@ -738,14 +737,13 @@ TEST(Checkpoint, ResumeRebuildsPackedStateAndPlan) {
   EXPECT_GT(b.plan().epoch, epoch_before);
 
   // b's compiled path must match a's, and must match b's own scalar
-  // interpreter — any stale packed words or stale plan break one of these.
+  // engines — any stale packed words or stale plan break one of these.
   core::EvalContext ca, cb;
   std::vector<int> restored;
   for (int i = 0; i < 40; ++i) restored.push_back(b.predict(f.image(i), cb, i));
   for (int i = 0; i < 40; ++i)
     EXPECT_EQ(restored[static_cast<std::size_t>(i)], a.predict(f.image(i), ca, i))
         << "image " << i;
-  b.set_plan_mode(false);
   b.set_packed_eval(false);
   for (int i = 0; i < 40; ++i)
     EXPECT_EQ(b.predict(f.image(i), cb, i),
