@@ -113,6 +113,7 @@ struct EvalContext {
   Scratch<float> dac_vals;    // stage-0 DAC output, cached per image
   Scratch<double> dac_d;      // dac_vals widened once per image
   Scratch<std::uint8_t> pos_bits;  // one position's column bits
+  Scratch<double> tile_w;     // stage-0 column block's taps as doubles
   Scratch<double> pos_sums;   // stage-0 transpose/scatter: sums per position
   Scratch<int> pos_active;    // stage-0 scatter: n_active per position
   Scratch<std::uint64_t> col_cmp;   // stage-0 bulk compare bits per column

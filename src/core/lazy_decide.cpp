@@ -10,13 +10,12 @@ namespace sei::core {
 namespace {
 
 // Relative margin around a banded threshold. decide_position evaluates a
-// block threshold as share + β·(n_b − mean) + offset, and the compiler may
-// fuse the product into the first add; the band evaluates
-// (share + offset ± margin) + (β·(n_b − mean) ± its margin). Either way it
-// is a handful of roundings of the same real, so the two differ by far
-// less than 2⁻⁴⁴·(|share| + |offset| + |β·(n_b − mean)|); kMarginFloor
-// covers subnormal sums. Single-block references need no margin (one exact
-// add) but taking it costs nothing.
+// block threshold as fma(β, n_b − mean, share) + offset (block_reference);
+// the band evaluates (share + offset ± margin) + (β·(n_b − mean) ± its
+// margin). Both are a handful of roundings of the same real, so they
+// differ by far less than 2⁻⁴⁴·(|share| + |offset| + |β·(n_b − mean)|);
+// kMarginFloor covers subnormal sums. Single-block references need no
+// margin (one exact add) but taking it costs nothing.
 constexpr double kMargin = 0x1p-44;
 constexpr double kMarginFloor = 0x1p-1000;
 
@@ -86,10 +85,10 @@ void decide_position_lazy(const MappedLayer& m, double sigma,
           static_cast<double>(m.col_threshold[static_cast<std::size_t>(c)]);
       const double t =
           k == 1 ? ct + (offsets ? offsets[c] : 0.0)
-                 : ct / k +
-                       beta_scale *
-                           (static_cast<double>(n_active[b]) - mean_active) +
-                       (offsets ? offsets[i] : 0.0);
+                 : block_reference(
+                       ct / k, beta_scale,
+                       static_cast<double>(n_active[b]) - mean_active,
+                       offsets ? offsets[i] : 0.0);
       const std::size_t draw = static_cast<std::size_t>(c) * k + b;
       rng.skip_gaussians(draw - cursor);
       cursor = draw + 1;

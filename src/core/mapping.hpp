@@ -21,6 +21,7 @@
 // digital vote combines the K bits.
 #pragma once
 
+#include <cmath>
 #include <functional>
 #include <vector>
 
@@ -80,6 +81,16 @@ struct MappedLayer {
     return eff[static_cast<std::size_t>(r) * geom.cols + c];
   }
 };
+
+/// Sense-amp reference of one block in a k > 1 vote: the static share
+/// Thres/K plus the dynamic compensation β·(n_b − mean) as one fused
+/// multiply-add, then the block's SA offset. Every decide (scalar, vector
+/// and lazy) evaluates it this way, so -ffp-contract cannot round it
+/// differently in two engines.
+inline double block_reference(double share, double beta_scale, double n_dev,
+                              double offset) {
+  return std::fma(beta_scale, n_dev, share) + offset;
+}
 
 /// Maintenance pass applied to every freshly programmed (and aged) crossbar
 /// before its cells are reduced to effective values — the reliability

@@ -11,6 +11,14 @@ namespace {
 
 std::size_t words_for(std::size_t bits) { return (bits + 63) / 64; }
 
+DacKernel select_dac_kernel(const MappedLayer& m) {
+  const bool is_conv = m.geom.kind == quant::StageSpec::Kind::Conv;
+  if (is_conv && m.binarize && m.block_count == 1 && m.geom.in_ch == 1)
+    return DacKernel::kDenseTranspose;
+  if (is_conv && m.binarize) return DacKernel::kScatter;
+  return DacKernel::kGeneric;
+}
+
 /// Folds stage `m`'s scratch needs into `sp` — bounds for BOTH engines of
 /// the stage, so the same context serves either setting of the packed
 /// switch.
@@ -53,14 +61,32 @@ void bound_stage(const MappedLayer& m, int stage, bool noisy,
   // Stage-0 DAC engine.
   if (stage == 0) {
     sp.dac_vals = std::max(sp.dac_vals, in_bits);
-    sp.dac_d = std::max(sp.dac_d, in_bits);
-    // The scatter kernel's stride is k·cols per position; the dense
-    // transpose uses cols·positions — the scatter bound covers both.
-    sp.pos_sums = std::max(sp.pos_sums, positions * k * cols);
-    sp.pos_active = std::max(sp.pos_active, positions * k);
-    const std::size_t pwords = words_for(positions);
-    sp.col_cmp = std::max(sp.col_cmp, cols * pwords);
-    sp.col_pool = std::max(sp.col_pool, cols * pwords);
+    switch (select_dac_kernel(m)) {
+      case DacKernel::kDenseTranspose: {
+        // The image as doubles plus the last strip's overreach, one column
+        // block's taps, then [col][position] sums under read noise or
+        // per-column compare bits without it.
+        sp.dac_d = std::max(sp.dac_d, in_bits + kConv0Pad);
+        sp.tile_w = std::max(sp.tile_w, static_cast<std::size_t>(g.rows) *
+                                            std::min<std::size_t>(
+                                                cols, kConv0MaxCols));
+        if (noisy) {
+          sp.pos_sums = std::max(sp.pos_sums, positions * cols);
+        } else {
+          const std::size_t pwords = words_for(positions);
+          sp.col_cmp = std::max(sp.col_cmp, cols * pwords);
+          sp.col_pool = std::max(sp.col_pool, cols * pwords);
+        }
+        break;
+      }
+      case DacKernel::kScatter:
+        sp.pos_sums = std::max(sp.pos_sums, positions * k * cols);
+        sp.pos_active = std::max(sp.pos_active, positions * k);
+        break;
+      case DacKernel::kGeneric:
+      case DacKernel::kNone:
+        break;
+    }
   }
 
   // Lazy noisy decide (core/lazy_decide.hpp): per-position bands of the
@@ -99,14 +125,6 @@ PackedKernel select_packed_kernel(const MappedLayer& m,
   return PackedKernel::kGeneric;
 }
 
-DacKernel select_dac_kernel(const MappedLayer& m) {
-  const bool is_conv = m.geom.kind == quant::StageSpec::Kind::Conv;
-  if (is_conv && m.binarize && m.block_count == 1)
-    return DacKernel::kDenseTranspose;
-  if (is_conv && m.binarize) return DacKernel::kScatter;
-  return DacKernel::kGeneric;
-}
-
 template <typename T>
 std::size_t span_bytes(std::size_t count) {
   return Arena::aligned(count * sizeof(T));
@@ -123,6 +141,7 @@ void ScratchPlan::merge(const ScratchPlan& o) {
   dac_vals = std::max(dac_vals, o.dac_vals);
   dac_d = std::max(dac_d, o.dac_d);
   pos_bits = std::max(pos_bits, o.pos_bits);
+  tile_w = std::max(tile_w, o.tile_w);
   pos_sums = std::max(pos_sums, o.pos_sums);
   pos_active = std::max(pos_active, o.pos_active);
   col_cmp = std::max(col_cmp, o.col_cmp);
@@ -142,7 +161,8 @@ bool ScratchPlan::covers(const ScratchPlan& o) const {
   return block_sums >= o.block_sums && n_active >= o.n_active &&
          plane_sums >= o.plane_sums && merged >= o.merged &&
          window >= o.window && dac_vals >= o.dac_vals && dac_d >= o.dac_d &&
-         pos_bits >= o.pos_bits && pos_sums >= o.pos_sums &&
+         pos_bits >= o.pos_bits && tile_w >= o.tile_w &&
+         pos_sums >= o.pos_sums &&
          pos_active >= o.pos_active && col_cmp >= o.col_cmp &&
          col_pool >= o.col_pool && lw8 >= o.lw8 && nact8 >= o.nact8 &&
          sums8 >= o.sums8 && band_ref >= o.band_ref &&
@@ -156,7 +176,8 @@ void ScratchPlan::finalize() {
                 span_bytes<std::uint64_t>(window) +
                 span_bytes<float>(dac_vals) + span_bytes<double>(dac_d) +
                 span_bytes<std::uint8_t>(pos_bits) +
-                span_bytes<double>(pos_sums) + span_bytes<int>(pos_active) +
+                span_bytes<double>(tile_w) + span_bytes<double>(pos_sums) +
+                span_bytes<int>(pos_active) +
                 span_bytes<std::uint64_t>(col_cmp) +
                 span_bytes<std::uint64_t>(col_pool) +
                 span_bytes<std::uint64_t>(lw8) +
@@ -242,6 +263,7 @@ void EvalContext::bind(const ScratchPlan& plan) {
   dac_vals.bind(arena_, plan.dac_vals);
   dac_d.bind(arena_, plan.dac_d);
   pos_bits.bind(arena_, plan.pos_bits);
+  tile_w.bind(arena_, plan.tile_w);
   pos_sums.bind(arena_, plan.pos_sums);
   pos_active.bind(arena_, plan.pos_active);
   col_cmp.bind(arena_, plan.col_cmp);

@@ -22,6 +22,7 @@
 // packed kernels against, bit-for-bit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -63,6 +64,13 @@ enum class DacKernel : std::uint8_t {
   kScatter,         // sparse input scatter into per-position sums
   kGeneric,         // per-window accumulate (FC / classifier stage 0)
 };
+
+/// kDenseTranspose tile shape, shared by the kernel and its scratch bounds:
+/// a column block keeps at most kConv0MaxCols accumulators in registers,
+/// and a row's last eight-position strip reads up to seven doubles past the
+/// image, so the widened image carries kConv0Pad zeros.
+inline constexpr int kConv0MaxCols = 12;
+inline constexpr std::size_t kConv0Pad = 8;
 
 /// One lowered stage: everything the executor needs, resolved up front.
 struct StageOp {
@@ -112,6 +120,7 @@ struct ScratchPlan {
   std::size_t dac_vals = 0;
   std::size_t dac_d = 0;
   std::size_t pos_bits = 0;
+  std::size_t tile_w = 0;
   std::size_t pos_sums = 0;
   std::size_t pos_active = 0;
   std::size_t col_cmp = 0;

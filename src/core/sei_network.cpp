@@ -1,8 +1,11 @@
 #include "core/sei_network.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <optional>
+#include <utility>
 
 #include "core/bitpack.hpp"
 #include "core/lazy_decide.hpp"
@@ -135,10 +138,9 @@ void SeiNetwork::decide_position(const MappedLayer& m,
         static_cast<double>(m.col_threshold[static_cast<std::size_t>(c)]) / k;
     int votes = 0;
     for (int b = 0; b < k; ++b) {
-      const double t_b =
-          share +
-          beta_scale * (static_cast<double>(n_active[b]) - mean_active) +
-          (offsets ? offsets[static_cast<std::size_t>(b) * cols + c] : 0.0);
+      const double t_b = block_reference(
+          share, beta_scale, static_cast<double>(n_active[b]) - mean_active,
+          offsets ? offsets[static_cast<std::size_t>(b) * cols + c] : 0.0);
       const double raw = block_sums[static_cast<std::size_t>(b) * cols + c];
       const double sum = noisy ? readout(raw, rng) : raw;
       if (sum > t_b) ++votes;
@@ -353,48 +355,64 @@ void append_position_bits(BitWriter& writer, const std::uint8_t* bits,
   }
 }
 
+/// One column block of the stage-0 dense convolution (in_ch == 1).
+struct Conv0Tile {
+  const double* img;  // DAC levels, in_h × in_w, then kConv0Pad zeros
+  int in_w, out_h, out_w, kernel;
+  const double* w;    // the block's taps as doubles, [K·K][NC]
+  const double* ref;  // noise-free: the block's column references, else null
+  double* sums;       // noisy: [col][position] sums from the block's column
+  std::uint64_t* cmp; // noise-free: [col][pwords] compare bits, pre-zeroed
+  std::size_t positions, pwords;
+};
+
+/// ORs an n-bit compare mask into a column's position bits at `pos`; a strip
+/// can straddle two words when out_w is not a multiple of eight.
+inline void or_position_bits(std::uint64_t* words, std::size_t pos,
+                             std::uint64_t mask, int n) {
+  words[pos >> 6] |= mask << (pos & 63);
+  if (static_cast<int>(pos & 63) + n > 64)
+    words[(pos >> 6) + 1] |= mask >> (64 - (pos & 63));
+}
+
 #ifdef SEI_CORE_AVX512
 
-/// Stage-0 register-tiled direct convolution into [col][position] sums.
-/// K is a compile-time constant so the tap nest fully unrolls; dual
-/// accumulators break the FMA latency chain. Any accumulation order is
-/// bit-identical under the dac_exact bound (every partial sum is exact).
-template <int K>
-void conv0_tile(const double* img, int in_w, int out_h, int out_w,
-                const float* eff, int cols, double* pos_sums,
-                std::size_t positions) {
-  __m512d wv[K * K];
-  for (int c = 0; c < cols; ++c) {
-    // Broadcast the K² taps once per column — for K=3 they stay resident
-    // in registers across every position strip.
-    for (int t = 0; t < K * K; ++t)
-      wv[t] = _mm512_set1_pd(static_cast<double>(
-          eff[static_cast<std::size_t>(t) * cols + c]));
-    double* dst = pos_sums + static_cast<std::size_t>(c) * positions;
-    for (int y = 0; y < out_h; ++y) {
-      double* dr = dst + static_cast<std::size_t>(y) * out_w;
-      const double* srow = img + static_cast<std::size_t>(y) * in_w;
-      for (int x = 0; x < out_w; x += 8) {
-        const int n = std::min(8, out_w - x);
-        const __mmask8 mk = static_cast<__mmask8>((1u << n) - 1u);
-        __m512d acc0 = _mm512_setzero_pd();
-        __m512d acc1 = _mm512_setzero_pd();
-        for (int di = 0; di < K; ++di) {
-          const double* sr = srow + static_cast<std::size_t>(di) * in_w + x;
-          const __m512d* wr = wv + di * K;
-          int dj = 0;
-          for (; dj + 1 < K; dj += 2) {
-            acc0 = _mm512_fmadd_pd(wr[dj],
-                                   _mm512_maskz_loadu_pd(mk, sr + dj), acc0);
-            acc1 = _mm512_fmadd_pd(wr[dj + 1],
-                                   _mm512_maskz_loadu_pd(mk, sr + dj + 1),
-                                   acc1);
-          }
-          if (dj < K)
-            acc0 = _mm512_fmadd_pd(wr[dj],
-                                   _mm512_maskz_loadu_pd(mk, sr + dj), acc0);
+/// Stage-0 column-blocked direct convolution: each eight-position strip
+/// loads every input vector once and FMAs it into NC column accumulators —
+/// NC independent chains. Noise-free tiles compare the accumulators against
+/// the column references in registers and OR the masks into `cmp`; noisy
+/// tiles store the sums. Any accumulation order is bit-identical under the
+/// dac_exact bound (every partial sum is exact).
+template <int NC>
+void conv0_tile(const Conv0Tile& t) {
+  for (int y = 0; y < t.out_h; ++y) {
+    const double* srow = t.img + static_cast<std::size_t>(y) * t.in_w;
+    for (int x = 0; x < t.out_w; x += 8) {
+      const std::size_t pos = static_cast<std::size_t>(y) * t.out_w + x;
+      const int n = std::min(8, t.out_w - x);
+      __m512d acc[NC];
+      for (int j = 0; j < NC; ++j) acc[j] = _mm512_setzero_pd();
+      const double* w = t.w;
+      for (int di = 0; di < t.kernel; ++di) {
+        const double* sr = srow + static_cast<std::size_t>(di) * t.in_w + x;
+        for (int dj = 0; dj < t.kernel; ++dj, w += NC) {
+          const __m512d v = _mm512_loadu_pd(sr + dj);
+          for (int j = 0; j < NC; ++j)
+            acc[j] = _mm512_fmadd_pd(_mm512_set1_pd(w[j]), v, acc[j]);
         }
-        _mm512_mask_storeu_pd(dr + x, mk, _mm512_add_pd(acc0, acc1));
+      }
+      const __mmask8 lanes = static_cast<__mmask8>((1u << n) - 1u);
+      for (int j = 0; j < NC; ++j) {
+        if (t.ref)
+          or_position_bits(t.cmp + static_cast<std::size_t>(j) * t.pwords, pos,
+                           _mm512_mask_cmp_pd_mask(lanes, acc[j],
+                                                   _mm512_set1_pd(t.ref[j]),
+                                                   _CMP_GT_OQ),
+                           n);
+        else
+          _mm512_mask_storeu_pd(
+              t.sums + static_cast<std::size_t>(j) * t.positions + pos, lanes,
+              acc[j]);
       }
     }
   }
@@ -435,9 +453,12 @@ void decide_append_fast(const MappedLayer& m, const double* block_sums,
         _mm512_set1_pd(static_cast<double>(k)));
     __m512i votes = _mm512_setzero_si512();
     for (int b = 0; b < k; ++b) {
-      const double dyn =
-          beta_scale * (static_cast<double>(n_active[b]) - mean_active);
-      __m512d t = _mm512_add_pd(share, _mm512_set1_pd(dyn));
+      // block_reference, lane by lane: one fused multiply-add, then the
+      // offset.
+      __m512d t = _mm512_fmadd_pd(
+          _mm512_set1_pd(beta_scale),
+          _mm512_set1_pd(static_cast<double>(n_active[b]) - mean_active),
+          share);
       if (offsets)
         t = _mm512_add_pd(t, _mm512_cvtps_pd(_mm256_maskz_loadu_ps(
                                  lm, offsets + static_cast<std::size_t>(b) *
@@ -498,10 +519,9 @@ void decide_append_fast8(const MappedLayer& m, const double* sums8,
         for (int b = 0; b < k; ++b) {
           const __m512d nav = _mm512_cvtepi32_pd(_mm256_loadu_si256(
               reinterpret_cast<const __m256i*>(n_active8 + b * 8)));
-          __m512d tb = _mm512_add_pd(
-              _mm512_set1_pd(share),
-              _mm512_mul_pd(_mm512_set1_pd(beta_scale),
-                            _mm512_sub_pd(nav, mean)));
+          __m512d tb = _mm512_fmadd_pd(_mm512_set1_pd(beta_scale),
+                                       _mm512_sub_pd(nav, mean),
+                                       _mm512_set1_pd(share));
           if (offsets)
             tb = _mm512_add_pd(
                 tb, _mm512_set1_pd(static_cast<double>(
@@ -527,7 +547,73 @@ void decide_append_fast8(const MappedLayer& m, const double* sums8,
   }
 }
 
+#else  // !SEI_CORE_AVX512
+
+// Positions per strip of the portable tile: one vector register of doubles
+// on the target, so NC accumulators stay in registers.
+#if defined(__AVX512F__)
+constexpr int kConv0Lanes = 8;
+#elif defined(__AVX__)
+constexpr int kConv0Lanes = 4;
+#else
+constexpr int kConv0Lanes = 2;
+#endif
+using Conv0Vec =
+    double __attribute__((vector_size(kConv0Lanes * sizeof(double))));
+
+/// Portable twin of the AVX-512 conv0_tile: the same column blocking on
+/// strips one register wide, written with GCC/Clang vector extensions
+/// instead of intrinsics. Lanes past out_w read the next row (or the
+/// padding) and are masked off.
+template <int NC>
+void conv0_tile(const Conv0Tile& t) {
+  constexpr int kL = kConv0Lanes;
+  for (int y = 0; y < t.out_h; ++y) {
+    const double* srow = t.img + static_cast<std::size_t>(y) * t.in_w;
+    for (int x = 0; x < t.out_w; x += kL) {
+      const std::size_t pos = static_cast<std::size_t>(y) * t.out_w + x;
+      const int n = std::min(kL, t.out_w - x);
+      Conv0Vec acc[NC];
+      for (int j = 0; j < NC; ++j) acc[j] = Conv0Vec{};
+      const double* w = t.w;
+      for (int di = 0; di < t.kernel; ++di) {
+        const double* sr = srow + static_cast<std::size_t>(di) * t.in_w + x;
+        for (int dj = 0; dj < t.kernel; ++dj, w += NC) {
+          Conv0Vec v;
+          std::memcpy(&v, sr + dj, sizeof v);
+          for (int j = 0; j < NC; ++j) acc[j] += w[j] * v;
+        }
+      }
+      for (int j = 0; j < NC; ++j) {
+        if (t.ref) {
+          const auto gt = acc[j] > t.ref[j];  // lanes of −1 / 0
+          std::uint64_t m = 0;
+          for (int l = 0; l < n; ++l)
+            m |= static_cast<std::uint64_t>(gt[l] & 1) << l;
+          or_position_bits(t.cmp + static_cast<std::size_t>(j) * t.pwords, pos,
+                           m, n);
+        } else {
+          double* dst = t.sums + static_cast<std::size_t>(j) * t.positions + pos;
+          for (int l = 0; l < n; ++l) dst[l] = acc[j][l];
+        }
+      }
+    }
+  }
+}
+
 #endif  // SEI_CORE_AVX512
+
+using Conv0TileFn = void (*)(const Conv0Tile&);
+
+template <std::size_t... I>
+constexpr std::array<Conv0TileFn, sizeof...(I)> conv0_tiles(
+    std::index_sequence<I...>) {
+  return {&conv0_tile<static_cast<int>(I) + 1>...};
+}
+
+/// conv0_tile<NC> for NC = 1..kConv0MaxCols, indexed by NC − 1.
+constexpr auto kConv0Tiles =
+    conv0_tiles(std::make_index_sequence<kConv0MaxCols>{});
 
 }  // namespace
 
@@ -811,110 +897,58 @@ void SeiNetwork::eval_stage_dac(const MappedLayer& m, DacKernel kern,
   const int span = is_conv ? g.kernel * g.in_ch : g.rows;
 
   if (kern == DacKernel::kDenseTranspose) {
-    // Transposed dense accumulation: pos_sums is laid out [col][position],
-    // so for each weight w[r][c] one contiguous FMA sweep adds
-    // w·shifted_image into all positions at once. Zero DAC outputs add an
-    // exact ±0.0 and the dac_exact bound keeps every partial sum exact, so
-    // this reordering produces the same doubles as the per-window loop
-    // (zero signs can differ, which no compare can observe).
-    ctx.pos_sums.resize(static_cast<std::size_t>(cols) * positions);
-    const int in_stride = g.in_w * g.in_ch;
-#ifdef SEI_CORE_AVX512
-    if (g.in_ch == 1 &&
-        (g.kernel == 3 || g.kernel == 5 || g.kernel == 7)) {
-      // Register-tiled direct convolution: the whole tap loop runs with
-      // eight output positions held in registers, so each partial sum is
-      // written exactly once instead of read-modify-written per tap. The
-      // tap order differs from the sweep below (dual accumulators, dj
-      // interleaving) — dac_exact makes any order bit-identical.
-      ctx.dac_d.resize(ctx.dac_vals.size());
-      for (std::size_t i = 0; i < ctx.dac_vals.size(); ++i)
-        ctx.dac_d[i] = static_cast<double>(ctx.dac_vals[i]);
-      switch (g.kernel) {
-        case 3:
-          conv0_tile<3>(ctx.dac_d.data(), g.in_w, g.out_h, g.out_w,
-                        m.eff.data(), cols, ctx.pos_sums.data(), positions);
-          break;
-        case 5:
-          conv0_tile<5>(ctx.dac_d.data(), g.in_w, g.out_h, g.out_w,
-                        m.eff.data(), cols, ctx.pos_sums.data(), positions);
-          break;
-        default:
-          conv0_tile<7>(ctx.dac_d.data(), g.in_w, g.out_h, g.out_w,
-                        m.eff.data(), cols, ctx.pos_sums.data(), positions);
-          break;
-      }
-    } else
-#endif
-    for (int di = 0; di < g.kernel; ++di) {
-      for (int dj = 0; dj < g.kernel; ++dj) {
-        for (int ch = 0; ch < g.in_ch; ++ch) {
-          const int r = (di * g.kernel + dj) * g.in_ch + ch;
-          const bool first = r == 0;  // overwrites last image's sums
-          const float* wrow = m.eff.data() + static_cast<std::size_t>(r) * cols;
-          const float* src = ctx.dac_vals.data() +
-                             (static_cast<std::size_t>(di) * g.in_w + dj) *
-                                 g.in_ch +
-                             ch;
-          for (int c = 0; c < cols; ++c) {
-            const double wv = wrow[c];
-            double* dst =
-                ctx.pos_sums.data() + static_cast<std::size_t>(c) * positions;
-            for (int y = 0; y < g.out_h; ++y) {
-              const float* sr = src + static_cast<std::size_t>(y) * in_stride;
-              double* dr = dst + static_cast<std::size_t>(y) * g.out_w;
-              // Unit-stride loops are split out so the compiler vectorizes
-              // them (the runtime in_ch stride otherwise blocks it); the
-              // input layer is single-channel, so this is the path taken.
-              if (g.in_ch == 1) {
-                if (first) {
-                  for (int x = 0; x < g.out_w; ++x)
-                    dr[x] = wv * static_cast<double>(sr[x]);
-                } else {
-                  for (int x = 0; x < g.out_w; ++x)
-                    dr[x] += wv * static_cast<double>(sr[x]);
-                }
-              } else if (first) {
-                for (int x = 0; x < g.out_w; ++x)
-                  dr[x] = wv * static_cast<double>(
-                                   sr[static_cast<std::size_t>(x) * g.in_ch]);
-              } else {
-                for (int x = 0; x < g.out_w; ++x)
-                  dr[x] += wv * static_cast<double>(
-                                    sr[static_cast<std::size_t>(x) * g.in_ch]);
-              }
-            }
-          }
-        }
-      }
-    }
-    if (cfg_.device.read_noise_sigma <= 0.0) {
-      // Bulk emit: per column, compare every position against the fixed
-      // reference at once; then interleave the per-column bit rows into
-      // position-major packed output.
+    // Column-blocked direct convolution (conv0_tile, in_ch == 1): the
+    // columns split into blocks of at most kConv0MaxCols, balanced, and
+    // each block runs the whole image with its columns' accumulators in
+    // registers. Zero DAC outputs add an exact ±0.0 and the dac_exact bound
+    // keeps every partial sum exact, so this reordering produces the same
+    // doubles as the per-window loop (zero signs can differ, which no
+    // compare can observe).
+    const bool noisy = cfg_.device.read_noise_sigma > 0.0;
+    const std::size_t pwords = (positions + 63) / 64;
+    ctx.dac_d.resize(ctx.dac_vals.size() + kConv0Pad);
+    std::copy(ctx.dac_vals.begin(), ctx.dac_vals.end(), ctx.dac_d.begin());
+    std::fill(ctx.dac_d.end() - kConv0Pad, ctx.dac_d.end(), 0.0);
+    if (noisy) {
+      ctx.pos_sums.resize(static_cast<std::size_t>(cols) * positions);
+    } else {
+      // decide_position's single-block reference (one exact add) per
+      // column, kept in block_sums' scratch.
       const float* offsets = m.sa_offset.empty() ? nullptr : m.sa_offset.data();
-      const std::size_t pwords = (positions + 63) / 64;
-      ctx.col_cmp.assign(static_cast<std::size_t>(cols) * pwords, 0);
-      for (int c = 0; c < cols; ++c) {
-        const double ref =
+      for (int c = 0; c < cols; ++c)
+        ctx.block_sums[static_cast<std::size_t>(c)] =
             static_cast<double>(m.col_threshold[static_cast<std::size_t>(c)]) +
             (offsets ? offsets[c] : 0.0);
-        const double* a =
-            ctx.pos_sums.data() + static_cast<std::size_t>(c) * positions;
-        std::uint64_t* mw = ctx.col_cmp.data() + c * pwords;
-        std::size_t pos = 0;
-#ifdef SEI_CORE_AVX512
-        const __m512d refv = _mm512_set1_pd(ref);
-        for (; pos + 8 <= positions; pos += 8) {
-          const __mmask8 gt = _mm512_cmp_pd_mask(_mm512_loadu_pd(a + pos),
-                                                 refv, _CMP_GT_OQ);
-          mw[pos >> 6] |= static_cast<std::uint64_t>(gt) << (pos & 63);
-        }
-#endif
-        for (; pos < positions; ++pos)
-          mw[pos >> 6] |= static_cast<std::uint64_t>(a[pos] > ref)
-                          << (pos & 63);
-      }
+      ctx.col_cmp.assign(static_cast<std::size_t>(cols) * pwords, 0);
+    }
+    const int taps = g.kernel * g.kernel;
+    ctx.tile_w.resize(static_cast<std::size_t>(taps) *
+                      std::min(cols, kConv0MaxCols));
+    const int blocks = (cols + kConv0MaxCols - 1) / kConv0MaxCols;
+    for (int b = 0, c0 = 0; b < blocks; ++b) {
+      const int nc = cols / blocks + (b < cols % blocks ? 1 : 0);
+      for (int t = 0; t < taps; ++t)
+        for (int j = 0; j < nc; ++j)
+          ctx.tile_w[static_cast<std::size_t>(t) * nc + j] =
+              m.eff[static_cast<std::size_t>(t) * cols + c0 + j];
+      const Conv0Tile tile{
+          ctx.dac_d.data(),
+          g.in_w,
+          g.out_h,
+          g.out_w,
+          g.kernel,
+          ctx.tile_w.data(),
+          noisy ? nullptr : ctx.block_sums.data() + c0,
+          noisy ? ctx.pos_sums.data() + static_cast<std::size_t>(c0) * positions
+                : nullptr,
+          noisy ? nullptr
+                : ctx.col_cmp.data() + static_cast<std::size_t>(c0) * pwords,
+          positions,
+          pwords};
+      kConv0Tiles[static_cast<std::size_t>(nc - 1)](tile);
+      c0 += nc;
+    }
+    if (!noisy) {
       // Fused OR-pool: pooling commutes with the transpose, and in
       // column-major bit rows it is three word ops per output row — so
       // pool here and interleave only a quarter of the positions,

@@ -19,9 +19,11 @@
 #include "core/adc_network.hpp"
 #include "core/lazy_decide.hpp"
 #include "core/sei_network.hpp"
+#include "core/simd_caps.hpp"
 #include "data/synthetic_digits.hpp"
 #include "exec/thread_pool.hpp"
 #include "nn/trainer.hpp"
+#include "quant/qnet.hpp"
 #include "quant/threshold_search.hpp"
 #include "reliability/campaign.hpp"
 #include "serve/fleet.hpp"
@@ -328,6 +330,20 @@ TEST(Determinism, PackedEngineMatchesFloatUnderNoiseAndSplitting) {
     SCOPED_TRACE("noise with dynamic threshold");
     expect_engines_match(f.qnet, hw, f.test, 120, hw.stage_count());
   }
+  // Noise-free dynamic thresholds: the fast decides of the packed kernels
+  // against decide_position, at 3 and 9 blocks, either sign of β.
+  for (const int max_rows : {64, 16}) {
+    for (const float beta : {0.4f, -0.3f}) {
+      core::HardwareConfig cfg;
+      cfg.limits.max_rows = max_rows;
+      core::SeiNetwork hw(f.qnet, cfg);
+      hw.layer(1).dyn_beta = beta;
+      SCOPED_TRACE("noise-free dynamic threshold " + std::to_string(beta) +
+                   " max_rows " + std::to_string(max_rows));
+      EXPECT_GE(hw.layer(1).block_count, 2);
+      expect_engines_match(f.qnet, hw, f.test, 120, hw.stage_count());
+    }
+  }
   {  // Programming noise breaks integrality: packed must fall back cleanly.
     core::HardwareConfig cfg;
     cfg.device.program_sigma = 0.03;
@@ -335,6 +351,193 @@ TEST(Determinism, PackedEngineMatchesFloatUnderNoiseAndSplitting) {
     SCOPED_TRACE("non-integral fallback");
     EXPECT_EQ(hw.packed_stage_count(), 0);
     expect_engines_match(f.qnet, hw, f.test, 120, 0);
+  }
+}
+
+/// Random images of size in×in, a third of the pixels exactly zero.
+data::Dataset random_images(Rng& gen, int n, int in) {
+  data::Dataset d;
+  d.images = nn::Tensor({n, in, in, 1});
+  for (std::size_t i = 0; i < d.images.numel(); ++i)
+    d.images[i] =
+        gen.below(3) == 0 ? 0.0f : static_cast<float>(gen.uniform(0.0, 1.0));
+  for (int i = 0; i < n; ++i)
+    d.labels.push_back(static_cast<std::uint8_t>(gen.below(10)));
+  return d;
+}
+
+TEST(Determinism, Stage0TileMatchesScalarOnRandomGeometries) {
+  // The stage-0 dense kernel splits the columns into register tiles of at
+  // most kConv0MaxCols and walks eight-position strips. These geometries
+  // hit every tile width remainder and K = 3, 5 and 7, with rows whose
+  // strips straddle a 64-bit position word (out_w 22 and 26), SA offsets
+  // and read noise. The byte maps stage 0 emits and the error rates must
+  // equal the scalar engine's.
+  Rng gen(97);
+  // Input sizes per K: out_w 22/26/11 at K = 3, 23/26/8 at 5, 22/9/15 at 7.
+  const int sizes[3][3] = {{24, 28, 13}, {27, 30, 12}, {28, 15, 21}};
+  int straddling = 0;
+  for (int ki = 0; ki < 3; ++ki) {
+    const int kernel = 3 + 2 * ki;
+    int wi = 0;
+    for (const int cols : {1, 4, 5, 6, 7, 8, 9, 12, 13, 20}) {
+      const int in = sizes[ki][(wi++ + ki) % 3];
+      const int out = in - kernel + 1;
+      quant::Topology topo;
+      topo.name = "stage0-random";
+      topo.input_size = in;
+      topo.stages = {
+          {quant::StageSpec::Kind::Conv, kernel, cols,
+           out % 2 == 0 && gen.below(2) == 0},
+          {quant::StageSpec::Kind::Fc, 0, 10, false}};
+      nn::Network net = workloads::build_float_network(topo, gen());
+      quant::QNetwork qnet = quant::build_qnetwork(net, topo);
+      qnet.layers[0].threshold = static_cast<float>(gen.uniform(-0.2, 0.2));
+      const data::Dataset d = random_images(gen, 16, in);
+      for (int y = 0; y < out; ++y)
+        for (int x = 0; x < out; x += 8)
+          if ((y * out + x) % 64 + std::min(8, out - x) > 64) ++straddling;
+      for (const bool offsets : {false, true}) {
+        for (const double sigma : {0.0, 0.05}) {
+          core::HardwareConfig cfg;
+          cfg.sa_offset_sigma = offsets ? 1.5 : 0.0;
+          cfg.device.read_noise_sigma = sigma;
+          core::SeiNetwork hw(qnet, cfg);
+          SCOPED_TRACE("K " + std::to_string(kernel) + " cols " +
+                       std::to_string(cols) + " out_w " + std::to_string(out) +
+                       (offsets ? " offsets" : "") + " sigma " +
+                       std::to_string(sigma));
+          ASSERT_EQ(hw.plan().ops[0].engine, core::StageEngine::kDacDense);
+          ASSERT_EQ(hw.plan().ops[0].dac_kernel,
+                    core::DacKernel::kDenseTranspose);
+          const std::vector<quant::BitMap> packed = hw.cache_stage_inputs(d, 1);
+          const double packed_err = hw.error_rate(d);
+          hw.set_packed_eval(false);
+          EXPECT_EQ(hw.cache_stage_inputs(d, 1), packed);
+          EXPECT_EQ(hw.error_rate(d), packed_err);
+          std::size_t ones = 0, bits = 0;
+          for (const quant::BitMap& m : packed) {
+            ones += static_cast<std::size_t>(std::count(m.begin(), m.end(), 1));
+            bits += m.size();
+          }
+          EXPECT_GT(ones, 0u);  // both outcomes occur: the compares bite
+          EXPECT_LT(ones, bits);
+        }
+      }
+    }
+  }
+  EXPECT_GT(straddling, 0);
+}
+
+/// Stage-1 parameters of DynamicThresholdIsOneFusedMultiplyAdd: block 0
+/// holds n0 active inputs, block 1 one and the rest none, every input
+/// weighs `w`. At dyn_beta = beta (mean_abs_eff 1) and col_threshold = ct,
+/// block 0's fused reference lies below its sum w·n0 while
+/// share + round(β·(n0 − mean)) does not, and the share is so negative that
+/// every other block always votes. n0 = 0 when the search finds none.
+struct Straddle {
+  int n0 = 0;
+  float beta = 0.0f, ct = 0.0f;
+};
+
+Straddle find_straddle(double w, int k, int max_n0) {
+  for (int n0 = 5; n0 <= max_n0; ++n0) {
+    const double mean = static_cast<double>(n0 + 1) / k;
+    const double dev0 = static_cast<double>(n0) - mean;
+    const double sum0 = w * n0;
+    for (int q = 1; q < 64; q += 2) {
+      for (int j = -8; j <= 12; ++j) {
+        const float beta = std::ldexp(static_cast<float>(q), j);
+        const double bs = static_cast<double>(beta);
+        volatile double product = bs * dev0;  // rounded on its own
+        const float share = static_cast<float>(sum0 - product);
+        const float ct = share * static_cast<float>(k);
+        if (static_cast<double>(ct) / k != static_cast<double>(share)) continue;
+        volatile double unfused = share + product;
+        if (!(sum0 > core::block_reference(share, bs, dev0, 0.0)) ||
+            sum0 > unfused)
+          continue;
+        bool others_vote = true;
+        for (int b = 1; b < k; ++b) {
+          const int nb = b == 1 ? 1 : 0;
+          others_vote = others_vote &&
+                        w * nb > core::block_reference(
+                                     share, bs, nb - mean, 0.0) + 1.0;
+        }
+        if (others_vote) return {n0, beta, ct};
+      }
+    }
+  }
+  return {};
+}
+
+TEST(Determinism, DynamicThresholdIsOneFusedMultiplyAdd) {
+  // Every decide evaluates a k > 1 block reference as
+  // fma(β, n_b − mean, share) + offset (core::block_reference). Here the
+  // parameters put that reference just below an integer block sum while
+  // share + round(β·(n_b − mean)) lands on it, so a decide that rounded
+  // the product first would flip the bit. Stage 1 is a five-block vote at
+  // one position over inputs chosen per block, and the classifier reads
+  // its bit back as the label. Two stage-1 sizes select the int16
+  // row-gather kernel and, where AVX-512 is built, batch-of-8; a
+  // vanishing read noise routes the packed engine through the lazy walk.
+  for (const int channels : {16, 160}) {
+    quant::Topology topo;
+    topo.name = "fused-threshold";
+    topo.input_size = 3;
+    topo.stages = {{quant::StageSpec::Kind::Conv, 1, channels, false},
+                   {quant::StageSpec::Kind::Conv, 3, 1, false},
+                   {quant::StageSpec::Kind::Fc, 0, 10, false}};
+    nn::Network net = workloads::build_float_network(topo, 5);
+    quant::QNetwork qnet = quant::build_qnetwork(net, topo);
+    qnet.layers[1].weight.fill(1.0f);  // every block sum is w·n_b
+    qnet.layers[1].bias.zero();
+    qnet.layers[2].weight.fill(-1.0f);  // label = stage 1's bit
+    qnet.layers[2].weight[1] = 1.0f;
+    qnet.layers[2].bias.zero();
+    const int rows = 9 * channels;
+    for (const double sigma : {0.0, 1e-30}) {
+      core::HardwareConfig cfg;
+      cfg.limits.max_rows = cfg.cells_per_weight() * ((rows + 4) / 5);
+      cfg.homogenize = false;
+      cfg.device.read_noise_sigma = sigma;
+      core::SeiNetwork hw(qnet, cfg);
+      core::MappedLayer& m = hw.layer(1);
+      SCOPED_TRACE("channels " + std::to_string(channels) + " sigma " +
+                   std::to_string(sigma));
+      const int k = m.block_count;
+      ASSERT_EQ(k, 5);
+      const double w = m.eff[0];
+      for (const float e : m.eff) ASSERT_EQ(e, m.eff[0]);
+      if (core::kHaveAvx512 && sigma == 0.0)
+        EXPECT_EQ(hw.plan().ops[1].packed_kernel,
+                  channels == 16 ? core::PackedKernel::kGeneric
+                                 : core::PackedKernel::kBatch8);
+      const Straddle st = find_straddle(w, k, rows / k);
+      ASSERT_GT(st.n0, 0);
+      const int n[5] = {st.n0, 1, 0, 0, 0};
+      m.col_threshold[0] = st.ct;
+      m.dyn_beta = st.beta;
+      m.mean_abs_eff = 1.0f;
+      m.vote_threshold = k;
+      quant::BitMap input(static_cast<std::size_t>(rows), 0);
+      int active[5] = {};
+      for (int r = 0; r < rows; ++r) {
+        const int b = m.row_to_block[static_cast<std::size_t>(r)];
+        if (active[b] < n[b]) {
+          ++active[b];
+          input[static_cast<std::size_t>(r)] = 1;
+        }
+      }
+      data::Dataset d;
+      d.images = nn::Tensor({1, 3, 3, 1});
+      d.labels = {1};  // the fused reference lies below the sum: a vote
+      for (const bool packed : {true, false}) {
+        hw.set_packed_eval(packed);
+        EXPECT_EQ(hw.error_rate_from(d, 1, {input}), 0.0)
+            << (packed ? "packed" : "scalar");
+      }
+    }
   }
 }
 
@@ -363,10 +566,9 @@ void eager_decide(const core::MappedLayer& m, double sigma, const double* sums,
         static_cast<double>(m.col_threshold[static_cast<std::size_t>(c)]) / k;
     int votes = 0;
     for (int b = 0; b < k; ++b) {
-      const double t_b =
-          share +
-          beta_scale * (static_cast<double>(n_active[b]) - mean_active) +
-          (offsets ? offsets[static_cast<std::size_t>(b) * cols + c] : 0.0);
+      const double t_b = core::block_reference(
+          share, beta_scale, static_cast<double>(n_active[b]) - mean_active,
+          offsets ? offsets[static_cast<std::size_t>(b) * cols + c] : 0.0);
       const double raw = sums[static_cast<std::size_t>(b) * cols + c];
       if (raw * (1.0 + sigma * rng.gaussian()) > t_b) ++votes;
     }
