@@ -11,13 +11,18 @@
 //   --rate 0     closed-loop with a bounded in-flight window (--window),
 //                i.e. sustained saturation — the mode for fairness gates.
 //
-// Gates (--min-availability, --min-fairness, --max-p99-ms) make the bench
-// CI-enforceable: the JSON is always written, the exit code says pass/fail.
+// Gates (--min-availability, --min-fairness, --max-p99-ms,
+// --max-request-allocs, --strict) make the bench CI-enforceable: the JSON is
+// always written, the exit code says pass/fail. --strict is the one-shard
+// serving contract (docs/serving.md §5): the first breaker trip at or after
+// the --storm-at strike comes within 200 served requests, and the breaker
+// closes again with accuracy within 2 points of the baseline, no restart.
 //
 // Flags: --network, --requests, --shards, --tenants "A:2,B:1", --queue,
 // --quota-j, --rate, --window, --arrival-seed, --max-batch, --linger-us,
 // --deadline-ms, --probe-every, --checkpoint-every, --checkpoint-dir,
-// --storm-at, --storm-shard, --storm-stuck, --json, gates above.
+// --storm-at, --storm-shard, --storm-stuck, --storm-duration, --json,
+// gates above.
 // SIGINT/SIGTERM drain gracefully and still write the JSON.
 #include <algorithm>
 #include <chrono>
@@ -130,12 +135,20 @@ int main(int argc, char** argv) try {
       "max-request-allocs", -1,
       "gate: fail when post-warmup hot-path heap allocations exceed this "
       "(-1 = off; 0 enforces the zero-alloc contract, docs/plans.md)");
+  const bool strict = cli.get_bool(
+      "strict", false,
+      "gate: fail unless the one shard trips within 200 served requests of "
+      "--storm-at and closes within 2 pts of baseline");
   const std::string json_path = cli.get("json", "BENCH_serving.json");
   const auto tel = telemetry::telemetry_flags(cli);
   if (!cli.validate("fleet serving soak: latency, fairness, storm survival"))
     return 0;
   SEI_CHECK_MSG(requests > 0, "requests must be positive");
   SEI_CHECK_MSG(nshards > 0, "shards must be positive");
+  // A shard counts served requests, the storm counts fleet dispatches: the
+  // two agree up to the strike only when one healthy shard takes them all.
+  SEI_CHECK_MSG(!strict || (nshards == 1 && storm_at > 0),
+                "--strict needs --shards 1 and a --storm-at strike");
 
   install_shutdown_handler();
 
@@ -310,11 +323,12 @@ int main(int argc, char** argv) try {
                 k, static_cast<unsigned long long>(ss.served),
                 serve::to_string(ss.state), ss.trips, ss.baseline_pct);
     for (const serve::RecoveryRecord& r : fleet.shard_recoveries(k))
-      std::printf("  recovery: tripped @%llu, %s @%llu (tier %d, %.1f ms)\n",
+      std::printf("  recovery: tripped @%llu (%.2f%%), %s @%llu (tier %d, "
+                  "%.2f%%, %.1f ms)\n",
                   static_cast<unsigned long long>(r.tripped_at_served),
-                  r.closed ? "closed" : "parked",
+                  r.acc_before_pct, r.closed ? "closed" : "parked",
                   static_cast<unsigned long long>(r.resolved_at_served),
-                  r.tier_reached, r.duration_ms);
+                  r.tier_reached, r.acc_after_pct, r.duration_ms);
   }
 
   JsonWriter j(json_path);
@@ -413,6 +427,8 @@ int main(int argc, char** argv) try {
       j.kv("resolved_at_served", static_cast<long long>(r.resolved_at_served));
       j.kv("tier_reached", r.tier_reached);
       j.kv("closed", r.closed);
+      j.kv("acc_before_pct", r.acc_before_pct);
+      j.kv("acc_after_pct", r.acc_after_pct);
       j.kv("duration_ms", r.duration_ms);
       j.end_object();
     }
@@ -465,6 +481,24 @@ int main(int argc, char** argv) try {
             static_cast<unsigned long long>(st.serve_request_allocs),
             static_cast<unsigned long long>(st.alloc_measured_requests),
             max_request_allocs);
+        gate_failed = true;
+      }
+    }
+    if (strict) {
+      const std::uint64_t strike = static_cast<std::uint64_t>(storm_at);
+      const double baseline = st.shards[0].baseline_pct;
+      const std::vector<serve::RecoveryRecord> recs = fleet.shard_recoveries(0);
+      const auto first = std::find_if(
+          recs.begin(), recs.end(), [&](const serve::RecoveryRecord& r) {
+            return r.tripped_at_served >= strike;
+          });
+      if (first == recs.end() || first->tripped_at_served > strike + 200 ||
+          !first->closed || first->acc_after_pct < baseline - 2.0) {
+        std::fprintf(stderr,
+                     "GATE FAILED: the breaker did not trip within 200 "
+                     "requests of the strike and close within 2 pts of the "
+                     "%.2f%% baseline\n",
+                     baseline);
         gate_failed = true;
       }
     }

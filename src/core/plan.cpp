@@ -11,12 +11,14 @@ namespace {
 
 std::size_t words_for(std::size_t bits) { return (bits + 63) / 64; }
 
-DacKernel select_dac_kernel(const MappedLayer& m) {
-  const bool is_conv = m.geom.kind == quant::StageSpec::Kind::Conv;
-  if (is_conv && m.binarize && m.block_count == 1 && m.geom.in_ch == 1)
-    return DacKernel::kDenseTranspose;
-  if (is_conv && m.binarize) return DacKernel::kScatter;
-  return DacKernel::kGeneric;
+/// True when stage 0 fits the DAC column tile (eval_stage_dac): a
+/// binarized single-block conv on one input channel whose integral weights
+/// keep every dense partial sum exact (dac_exact). Every other stage 0 runs
+/// the scalar reference.
+bool dac_tile_fits(const MappedLayer& m) {
+  return m.geom.kind == quant::StageSpec::Kind::Conv && m.binarize &&
+         m.block_count == 1 && m.geom.in_ch == 1 && m.packed.valid &&
+         m.packed.dac_exact;
 }
 
 /// Folds stage `m`'s scratch needs into `sp` — bounds for BOTH engines of
@@ -58,34 +60,21 @@ void bound_stage(const MappedLayer& m, int stage, bool noisy,
   sp.nact8 = std::max(sp.nact8, k * 8);
   sp.sums8 = std::max(sp.sums8, k * cols * 8);
 
-  // Stage-0 DAC engine.
-  if (stage == 0) {
+  // Stage-0 DAC column tile: the DAC levels, the image as doubles plus the
+  // last strip's overreach, one column block's taps, then [col][position]
+  // sums under read noise or per-column compare bits without it.
+  if (stage == 0 && dac_tile_fits(m)) {
     sp.dac_vals = std::max(sp.dac_vals, in_bits);
-    switch (select_dac_kernel(m)) {
-      case DacKernel::kDenseTranspose: {
-        // The image as doubles plus the last strip's overreach, one column
-        // block's taps, then [col][position] sums under read noise or
-        // per-column compare bits without it.
-        sp.dac_d = std::max(sp.dac_d, in_bits + kConv0Pad);
-        sp.tile_w = std::max(sp.tile_w, static_cast<std::size_t>(g.rows) *
-                                            std::min<std::size_t>(
-                                                cols, kConv0MaxCols));
-        if (noisy) {
-          sp.pos_sums = std::max(sp.pos_sums, positions * cols);
-        } else {
-          const std::size_t pwords = words_for(positions);
-          sp.col_cmp = std::max(sp.col_cmp, cols * pwords);
-          sp.col_pool = std::max(sp.col_pool, cols * pwords);
-        }
-        break;
-      }
-      case DacKernel::kScatter:
-        sp.pos_sums = std::max(sp.pos_sums, positions * k * cols);
-        sp.pos_active = std::max(sp.pos_active, positions * k);
-        break;
-      case DacKernel::kGeneric:
-      case DacKernel::kNone:
-        break;
+    sp.dac_d = std::max(sp.dac_d, in_bits + kConv0Pad);
+    sp.tile_w = std::max(sp.tile_w, static_cast<std::size_t>(g.rows) *
+                                        std::min<std::size_t>(cols,
+                                                              kConv0MaxCols));
+    if (noisy) {
+      sp.pos_sums = std::max(sp.pos_sums, positions * cols);
+    } else {
+      const std::size_t pwords = words_for(positions);
+      sp.col_cmp = std::max(sp.col_cmp, cols * pwords);
+      sp.col_pool = std::max(sp.col_pool, cols * pwords);
     }
   }
 
@@ -100,11 +89,10 @@ void bound_stage(const MappedLayer& m, int stage, bool noisy,
 
 StageEngine select_engine(const MappedLayer& m, int stage, bool packed_eval) {
   if (stage == 0) {
-    // Stage 0 consumes DAC levels, not bits: the packed variant needs the
-    // dense-sum exactness bound on top of integral weights.
-    return packed_eval && m.packed.valid && m.packed.dac_exact
-               ? StageEngine::kDacDense
-               : StageEngine::kScalarFloat;
+    // Stage 0 consumes DAC levels, not bits: only the column tile has a
+    // packed variant.
+    return packed_eval && dac_tile_fits(m) ? StageEngine::kDacDense
+                                           : StageEngine::kScalarFloat;
   }
   return packed_eval && m.packed.valid ? StageEngine::kPackedBits
                                        : StageEngine::kScalarBits;
@@ -143,7 +131,6 @@ void ScratchPlan::merge(const ScratchPlan& o) {
   pos_bits = std::max(pos_bits, o.pos_bits);
   tile_w = std::max(tile_w, o.tile_w);
   pos_sums = std::max(pos_sums, o.pos_sums);
-  pos_active = std::max(pos_active, o.pos_active);
   col_cmp = std::max(col_cmp, o.col_cmp);
   col_pool = std::max(col_pool, o.col_pool);
   lw8 = std::max(lw8, o.lw8);
@@ -162,8 +149,7 @@ bool ScratchPlan::covers(const ScratchPlan& o) const {
          plane_sums >= o.plane_sums && merged >= o.merged &&
          window >= o.window && dac_vals >= o.dac_vals && dac_d >= o.dac_d &&
          pos_bits >= o.pos_bits && tile_w >= o.tile_w &&
-         pos_sums >= o.pos_sums &&
-         pos_active >= o.pos_active && col_cmp >= o.col_cmp &&
+         pos_sums >= o.pos_sums && col_cmp >= o.col_cmp &&
          col_pool >= o.col_pool && lw8 >= o.lw8 && nact8 >= o.nact8 &&
          sums8 >= o.sums8 && band_ref >= o.band_ref &&
          band_state >= o.band_state && scores >= o.scores &&
@@ -177,7 +163,6 @@ void ScratchPlan::finalize() {
                 span_bytes<float>(dac_vals) + span_bytes<double>(dac_d) +
                 span_bytes<std::uint8_t>(pos_bits) +
                 span_bytes<double>(tile_w) + span_bytes<double>(pos_sums) +
-                span_bytes<int>(pos_active) +
                 span_bytes<std::uint64_t>(col_cmp) +
                 span_bytes<std::uint64_t>(col_pool) +
                 span_bytes<std::uint64_t>(lw8) +
@@ -235,7 +220,7 @@ CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
     if (op.engine == StageEngine::kPackedBits)
       op.packed_kernel = select_packed_kernel(m, cfg);
     if (op.engine == StageEngine::kDacDense)
-      op.dac_kernel = select_dac_kernel(m);
+      op.dac_kernel = DacKernel::kDenseTranspose;
     // Row billing applies to the SEI hidden/classifier stages only —
     // stage 0 is DAC-driven through resistor ladders, its rows have no
     // transmission gates to switch off.
@@ -265,7 +250,6 @@ void EvalContext::bind(const ScratchPlan& plan) {
   pos_bits.bind(arena_, plan.pos_bits);
   tile_w.bind(arena_, plan.tile_w);
   pos_sums.bind(arena_, plan.pos_sums);
-  pos_active.bind(arena_, plan.pos_active);
   col_cmp.bind(arena_, plan.col_cmp);
   col_pool.bind(arena_, plan.col_pool);
   lw8.bind(arena_, plan.lw8);

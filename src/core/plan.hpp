@@ -7,9 +7,10 @@
 // (mapped layers, HardwareConfig, engine switch) once — at construction,
 // remap, fault repair, or checkpoint restore — into a CompiledPlan:
 //
-//  * a flat array of StageOps with the engine AND the packed/DAC sub-kernel
+//  * a flat array of StageOps with the engine AND the packed sub-kernel
 //    resolved per layer geometry (bit-plane batch-of-8 vs int16 row-gather
-//    compare vs generic; dense-transpose vs scatter vs generic DAC),
+//    compare vs generic); stage 0 runs the DAC column tile where it
+//    applies and the scalar reference everywhere else,
 //  * explicit activation-form converts (bytes ↔ packed words) inserted at
 //    the stage boundaries that need them,
 //  * per-stage energy prices baked in from the attached meter,
@@ -36,7 +37,7 @@ namespace sei::core {
 enum class StageEngine : std::uint8_t {
   kScalarFloat,  // stage-0 scalar reference (DAC per window)
   kScalarBits,   // hidden/classifier scalar reference on byte maps
-  kDacDense,     // stage-0 packed core: cached DAC + dense/scatter sums
+  kDacDense,     // stage-0 packed core: cached DAC + dense column tile
   kPackedBits,   // hidden/classifier AND+popcount core on packed words
 };
 
@@ -57,12 +58,14 @@ enum class PackedKernel : std::uint8_t {
   kGeneric,   // per-position bit-plane / row-gather accumulate
 };
 
-/// Stage-0 DAC sub-kernel.
+/// Stage-0 DAC sub-kernel. Every kDacDense op runs kDenseTranspose; the
+/// last two enumerators name retired kernels and stay only because the
+/// benchmark's kernel-name probe still switches on them.
 enum class DacKernel : std::uint8_t {
   kNone,            // op is not the DAC engine
   kDenseTranspose,  // [col][position] dense sums, fused compare/pool emit
-  kScatter,         // sparse input scatter into per-position sums
-  kGeneric,         // per-window accumulate (FC / classifier stage 0)
+  kScatter,         // retired
+  kGeneric,         // retired
 };
 
 /// kDenseTranspose tile shape, shared by the kernel and its scratch bounds:
@@ -122,7 +125,6 @@ struct ScratchPlan {
   std::size_t pos_bits = 0;
   std::size_t tile_w = 0;
   std::size_t pos_sums = 0;
-  std::size_t pos_active = 0;
   std::size_t col_cmp = 0;
   std::size_t col_pool = 0;
   std::size_t lw8 = 0;

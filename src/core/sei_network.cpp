@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstring>
-#include <optional>
 #include <utility>
 
 #include "core/bitpack.hpp"
@@ -603,6 +602,31 @@ void conv0_tile(const Conv0Tile& t) {
 
 #endif  // SEI_CORE_AVX512
 
+/// Gathers conv position (y, x)'s input window into `window` (`words`
+/// words): kernel rows of kernel·in_ch bits each, packed back to back.
+/// Windows of at most 64 rows assemble in a register from per-kernel-row
+/// bit extracts; wider ones zero the buffer and copy each row span in.
+inline void gather_window(const quant::StageGeometry& g, int words,
+                          const std::uint64_t* in, int y, int x,
+                          std::uint64_t* window) {
+  const int span = g.kernel * g.in_ch;
+  if (words == 1) {
+    std::uint64_t w0 = 0;
+    for (int di = 0; di < g.kernel; ++di)
+      w0 |= extract_bits64(
+                in, (static_cast<std::size_t>(y + di) * g.in_w + x) * g.in_ch,
+                span)
+            << (di * span);
+    window[0] = w0;
+    return;
+  }
+  std::fill(window, window + words, 0);
+  for (int di = 0; di < g.kernel; ++di)
+    copy_bits(in, (static_cast<std::size_t>(y + di) * g.in_w + x) * g.in_ch,
+              window, static_cast<std::size_t>(di) * span,
+              static_cast<std::size_t>(span));
+}
+
 using Conv0TileFn = void (*)(const Conv0Tile&);
 
 template <std::size_t... I>
@@ -641,7 +665,6 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
   else scores.assign(static_cast<std::size_t>(cols), 0.0f);
 
   const bool is_conv = g.kind == quant::StageSpec::Kind::Conv;
-  const int span = is_conv ? g.kernel * g.in_ch : g.rows;
   // FC input is already the full row window (rows == in.bits, zero tail).
   const std::uint64_t* window = in.words.data();
   if (is_conv) ctx.window.resize(static_cast<std::size_t>(ps.words));
@@ -670,29 +693,10 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
         std::fill(ctx.nact8.begin(), ctx.nact8.end(), 0);
       }
       for (int p = 0; p < np; ++p) {
-        const int y = static_cast<int>((pos + p) / g.out_w);
-        const int x = static_cast<int>((pos + p) % g.out_w);
-        if (ps.words == 1) {
-          // rows ≤ 64: the whole window fits one word — assemble it from
-          // per-kernel-row bit extracts without touching the scratch buffer.
-          std::uint64_t w0 = 0;
-          for (int di = 0; di < g.kernel; ++di)
-            w0 |= extract_bits64(
-                      in.words.data(),
-                      (static_cast<std::size_t>(y + di) * g.in_w + x) *
-                          g.in_ch,
-                      span)
-                  << (di * span);
-          ctx.window[0] = w0;
-        } else {
-          std::fill(ctx.window.begin(), ctx.window.end(), 0);
-          for (int di = 0; di < g.kernel; ++di)
-            copy_bits(
-                in.words.data(),
-                (static_cast<std::size_t>(y + di) * g.in_w + x) * g.in_ch,
-                ctx.window.data(), static_cast<std::size_t>(di) * span,
-                static_cast<std::size_t>(span));
-        }
+        gather_window(g, ps.words, in.words.data(),
+                      static_cast<int>((pos + p) / g.out_w),
+                      static_cast<int>((pos + p) % g.out_w),
+                      ctx.window.data());
         if (act) record_activity(g.rows, ctx.window.data(), *act);
         for (int b = 0; b < k; ++b) {
           const int bspan = ps.block_span[b];
@@ -744,25 +748,8 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
       for (int x = 0; x < g.out_w; ++x) {
         const std::uint64_t* wptr = in.words.data();
         if (is_conv) {
-          if (ps.words == 1) {
-            std::uint64_t w0 = 0;
-            for (int di = 0; di < g.kernel; ++di)
-              w0 |= extract_bits64(
-                        in.words.data(),
-                        (static_cast<std::size_t>(y + di) * g.in_w + x) *
-                            g.in_ch,
-                        span)
-                    << (di * span);
-            ctx.window[0] = w0;
-          } else {
-            std::fill(ctx.window.begin(), ctx.window.end(), 0);
-            for (int di = 0; di < g.kernel; ++di)
-              copy_bits(
-                  in.words.data(),
-                  (static_cast<std::size_t>(y + di) * g.in_w + x) * g.in_ch,
-                  ctx.window.data(), static_cast<std::size_t>(di) * span,
-                  static_cast<std::size_t>(span));
-          }
+          gather_window(g, ps.words, in.words.data(), y, x,
+                        ctx.window.data());
           wptr = ctx.window.data();
         }
         if (act) record_activity(g.rows, wptr, *act);
@@ -807,27 +794,7 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
   for (int y = 0; y < g.out_h; ++y) {
     for (int x = 0; x < g.out_w; ++x) {
       if (is_conv) {
-        if (ps.words == 1) {
-          // rows ≤ 64: assemble the single-word window from per-kernel-row
-          // bit extracts without touching the scratch buffer.
-          std::uint64_t w0 = 0;
-          for (int di = 0; di < g.kernel; ++di)
-            w0 |= extract_bits64(
-                      in.words.data(),
-                      (static_cast<std::size_t>(y + di) * g.in_w + x) *
-                          g.in_ch,
-                      span)
-                  << (di * span);
-          ctx.window[0] = w0;
-        } else {
-          std::fill(ctx.window.begin(), ctx.window.end(), 0);
-          for (int di = 0; di < g.kernel; ++di)
-            copy_bits(
-                in.words.data(),
-                (static_cast<std::size_t>(y + di) * g.in_w + x) * g.in_ch,
-                ctx.window.data(), static_cast<std::size_t>(di) * span,
-                static_cast<std::size_t>(span));
-        }
+        gather_window(g, ps.words, in.words.data(), y, x, ctx.window.data());
         window = ctx.window.data();
       }
       if (act) record_activity(g.rows, window, *act);
@@ -871,272 +838,169 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
   }
 }
 
-void SeiNetwork::eval_stage_dac(const MappedLayer& m, DacKernel kern,
-                                std::span<const float> in,
+void SeiNetwork::eval_stage_dac(const MappedLayer& m, std::span<const float> in,
                                 quant::PackedBits& bits_out,
-                                std::vector<float>& scores,
                                 EvalContext& ctx) const {
+  // Column-blocked direct convolution (conv0_tile; the plan runs this
+  // engine only on binarized single-block conv stages with in_ch == 1): the
+  // columns split into blocks of at most kConv0MaxCols, balanced, and each
+  // block runs the whole image with its columns' accumulators in registers.
+  // Zero DAC outputs add an exact ±0.0 and the dac_exact bound keeps every
+  // partial sum exact, so this reordering produces the same doubles as the
+  // scalar per-window loop (zero signs can differ, which no compare can
+  // observe).
   const quant::StageGeometry& g = m.geom;
-  SEI_CHECK(in.size() == static_cast<std::size_t>(g.in_h) * g.in_w * g.in_ch);
-  const int cols = g.cols, k = m.block_count;
-  ctx.block_sums.resize(static_cast<std::size_t>(k) * cols);
-  ctx.n_active.resize(static_cast<std::size_t>(k));
+  SEI_CHECK(in.size() == static_cast<std::size_t>(g.in_h) * g.in_w);
+  const int cols = g.cols;
+  const bool noisy = cfg_.device.read_noise_sigma > 0.0;
 
   // The scalar path re-runs the DAC for every overlapping window; quantize
-  // the image once instead. Accumulation below keeps the scalar loop's
-  // exact term order, so the sums are the same doubles.
+  // the image once instead, then widen it once for the tile.
   ctx.dac_vals.resize(in.size());
   dac_quantize_image(in, cfg_.input_bits, ctx.dac_vals.data());
+  ctx.dac_d.resize(ctx.dac_vals.size() + kConv0Pad);
+  std::copy(ctx.dac_vals.begin(), ctx.dac_vals.end(), ctx.dac_d.begin());
+  std::fill(ctx.dac_d.end() - kConv0Pad, ctx.dac_d.end(), 0.0);
 
   const std::size_t positions = static_cast<std::size_t>(g.out_h) * g.out_w;
-  BitWriter writer(ctx.packed_stage, m.binarize ? positions * cols : 0);
-  if (m.binarize) ctx.pos_bits.resize(static_cast<std::size_t>(cols));
-  else scores.assign(static_cast<std::size_t>(cols), 0.0f);
-
-  const bool is_conv = g.kind == quant::StageSpec::Kind::Conv;
-  const int span = is_conv ? g.kernel * g.in_ch : g.rows;
-
-  if (kern == DacKernel::kDenseTranspose) {
-    // Column-blocked direct convolution (conv0_tile, in_ch == 1): the
-    // columns split into blocks of at most kConv0MaxCols, balanced, and
-    // each block runs the whole image with its columns' accumulators in
-    // registers. Zero DAC outputs add an exact ±0.0 and the dac_exact bound
-    // keeps every partial sum exact, so this reordering produces the same
-    // doubles as the per-window loop (zero signs can differ, which no
-    // compare can observe).
-    const bool noisy = cfg_.device.read_noise_sigma > 0.0;
-    const std::size_t pwords = (positions + 63) / 64;
-    ctx.dac_d.resize(ctx.dac_vals.size() + kConv0Pad);
-    std::copy(ctx.dac_vals.begin(), ctx.dac_vals.end(), ctx.dac_d.begin());
-    std::fill(ctx.dac_d.end() - kConv0Pad, ctx.dac_d.end(), 0.0);
-    if (noisy) {
-      ctx.pos_sums.resize(static_cast<std::size_t>(cols) * positions);
-    } else {
-      // decide_position's single-block reference (one exact add) per
-      // column, kept in block_sums' scratch.
-      const float* offsets = m.sa_offset.empty() ? nullptr : m.sa_offset.data();
-      for (int c = 0; c < cols; ++c)
-        ctx.block_sums[static_cast<std::size_t>(c)] =
-            static_cast<double>(m.col_threshold[static_cast<std::size_t>(c)]) +
-            (offsets ? offsets[c] : 0.0);
-      ctx.col_cmp.assign(static_cast<std::size_t>(cols) * pwords, 0);
-    }
-    const int taps = g.kernel * g.kernel;
-    ctx.tile_w.resize(static_cast<std::size_t>(taps) *
-                      std::min(cols, kConv0MaxCols));
-    const int blocks = (cols + kConv0MaxCols - 1) / kConv0MaxCols;
-    for (int b = 0, c0 = 0; b < blocks; ++b) {
-      const int nc = cols / blocks + (b < cols % blocks ? 1 : 0);
-      for (int t = 0; t < taps; ++t)
-        for (int j = 0; j < nc; ++j)
-          ctx.tile_w[static_cast<std::size_t>(t) * nc + j] =
-              m.eff[static_cast<std::size_t>(t) * cols + c0 + j];
-      const Conv0Tile tile{
-          ctx.dac_d.data(),
-          g.in_w,
-          g.out_h,
-          g.out_w,
-          g.kernel,
-          ctx.tile_w.data(),
-          noisy ? nullptr : ctx.block_sums.data() + c0,
-          noisy ? ctx.pos_sums.data() + static_cast<std::size_t>(c0) * positions
-                : nullptr,
-          noisy ? nullptr
-                : ctx.col_cmp.data() + static_cast<std::size_t>(c0) * pwords,
-          positions,
-          pwords};
-      kConv0Tiles[static_cast<std::size_t>(nc - 1)](tile);
-      c0 += nc;
-    }
-    if (!noisy) {
-      // Fused OR-pool: pooling commutes with the transpose, and in
-      // column-major bit rows it is three word ops per output row — so
-      // pool here and interleave only a quarter of the positions,
-      // replacing the or_pool_packed pass entirely.
-      const bool fuse_pool = g.pool_after && g.out_w <= 64;
-      const std::uint64_t* colbits = ctx.col_cmp.data();
-      std::size_t nw = pwords, npos = positions;
-      if (fuse_pool) {
-        const int oh = g.out_h / 2, ow = g.out_w / 2;
-        npos = static_cast<std::size_t>(oh) * ow;
-        nw = (npos + 63) / 64;
-        ctx.col_pool.assign(static_cast<std::size_t>(cols) * nw, 0);
-        for (int c = 0; c < cols; ++c) {
-          const std::uint64_t* src =
-              ctx.col_cmp.data() + static_cast<std::size_t>(c) * pwords;
-          std::uint64_t* dst =
-              ctx.col_pool.data() + static_cast<std::size_t>(c) * nw;
-          std::size_t opos = 0;
-          for (int y = 0; y < oh; ++y, opos += ow) {
-            const std::uint64_t a = extract_bits64(
-                src, static_cast<std::size_t>(2 * y) * g.out_w, g.out_w);
-            const std::uint64_t b2 = extract_bits64(
-                src, static_cast<std::size_t>(2 * y + 1) * g.out_w, g.out_w);
-            const std::uint64_t t = a | b2;
-            const std::uint64_t w = compact_even_bits(t | (t >> 1), ow);
-            dst[opos >> 6] |= w << (opos & 63);
-            if (static_cast<int>(opos & 63) + ow > 64)
-              dst[(opos >> 6) + 1] |= w >> (64 - (opos & 63));
-          }
-        }
-        colbits = ctx.col_pool.data();
-      }
-      std::optional<BitWriter> pool_writer;
-      if (fuse_pool) pool_writer.emplace(bits_out, npos * cols);
-      BitWriter& wr = fuse_pool ? *pool_writer : writer;
-      // Interleave the column-major bit rows into position-major output,
-      // 8 positions × 8 columns at a time via bit-matrix transposes.
-      const int cg8 = cols / 8;
-      std::size_t pos = 0;
-      for (; pos + 8 <= npos; pos += 8) {
-        std::uint64_t tw[8] = {};  // transposed: byte p = cols of position p
-        for (int g8 = 0; g8 <= cg8; ++g8) {
-          const int base_c = g8 * 8;
-          const int nc = std::min(8, cols - base_c);
-          if (nc <= 0) break;
-          std::uint64_t t = 0;
-          for (int c = 0; c < nc; ++c)
-            t |= ((colbits[static_cast<std::size_t>(base_c + c) * nw +
-                           (pos >> 6)] >>
-                   (pos & 63)) &
-                  0xFFu)
-                 << (8 * c);
-          t = transpose8x8(t);
-          if (cols <= 8) {
-            // Narrow stages: all eight positions' bits land in one append.
-            wr.append(pack_pos_bytes(t, cols), 8 * cols);
-            break;
-          }
-          for (int p = 0; p < 8; ++p)
-            tw[p] |= ((t >> (8 * p)) & 0xFFu) << base_c;
-        }
-        if (cols > 8)
-          for (int p = 0; p < 8; ++p) wr.append(tw[p], cols);
-      }
-      for (; pos < npos; ++pos) {
-        std::uint64_t word = 0;
-        for (int c = 0; c < cols; ++c)
-          word |= ((colbits[static_cast<std::size_t>(c) * nw + (pos >> 6)] >>
-                    (pos & 63)) &
-                   1u)
-                  << c;
-        wr.append(word, cols);
-      }
-      if (fuse_pool) {
-        wr.finish();
-        return;
-      }
-    } else {
-      // Noisy readout: band each column's positions at once, then sample
-      // the open reads in decide_position's (position, column) draw order.
-      ctx.band_state.resize(static_cast<std::size_t>(cols) * positions);
-      decide_columns_lazy(m, cfg_.device.read_noise_sigma, ctx.pos_sums.data(),
-                          positions, ctx.band_state.data(), writer, ctx.rng);
-    }
-  } else if (kern == DacKernel::kScatter) {
-    // Scatter instead of gather: most DAC outputs are exactly zero (blank
-    // MNIST margins), and each nonzero input pixel feeds a predictable set
-    // of output windows. Walk the image once, skip zeros, and accumulate
-    // each survivor into every position whose window contains it. The
-    // dac_exact bound makes every partial sum exact, so this reordering
-    // produces the same doubles the per-window loop would.
-    const std::size_t stride = static_cast<std::size_t>(k) * cols;
-    ctx.pos_sums.assign(positions * stride, 0.0);
-    ctx.pos_active.assign(positions * static_cast<std::size_t>(k), 0);
-    for (int py = 0; py < g.in_h; ++py) {
-      const int di_lo = std::max(0, py - (g.out_h - 1));
-      const int di_hi = std::min(g.kernel - 1, py);
-      if (di_lo > di_hi) continue;
-      for (int px = 0; px < g.in_w; ++px) {
-        const int dj_lo = std::max(0, px - (g.out_w - 1));
-        const int dj_hi = std::min(g.kernel - 1, px);
-        if (dj_lo > dj_hi) continue;
-        const float* pvals =
-            ctx.dac_vals.data() +
-            (static_cast<std::size_t>(py) * g.in_w + px) * g.in_ch;
-        for (int ch = 0; ch < g.in_ch; ++ch) {
-          const float xq = pvals[ch];
-          if (xq == 0.0f) continue;
-          const double xd = static_cast<double>(xq);
-          for (int di = di_lo; di <= di_hi; ++di) {
-            const std::size_t pos_row =
-                static_cast<std::size_t>(py - di) * g.out_w;
-            for (int dj = dj_lo; dj <= dj_hi; ++dj) {
-              const int r = (di * g.kernel + dj) * g.in_ch + ch;
-              const int b = m.row_to_block[static_cast<std::size_t>(r)];
-              const std::size_t pos = pos_row + (px - dj);
-              ++ctx.pos_active[pos * k + b];
-              const float* wrow =
-                  m.eff.data() + static_cast<std::size_t>(r) * cols;
-              double* sums = ctx.pos_sums.data() + pos * stride +
-                             static_cast<std::size_t>(b) * cols;
-              for (int c = 0; c < cols; ++c) sums[c] += xd * wrow[c];
-            }
-          }
-        }
-      }
-    }
-    // Decisions stay in position order, so the noisy path's RNG draws are
-    // the same ones the dense loop would make.
-    for (std::size_t pos = 0; pos < positions; ++pos) {
-      decide_position(m, ctx.pos_sums.data() + pos * stride,
-                      ctx.pos_active.data() + pos * k, ctx.pos_bits.data(),
-                      ctx.rng);
-      append_position_bits(writer, ctx.pos_bits.data(), cols);
-    }
+  const std::size_t pwords = (positions + 63) / 64;
+  if (noisy) {
+    ctx.pos_sums.resize(static_cast<std::size_t>(cols) * positions);
   } else {
-    for (int y = 0; y < g.out_h; ++y) {
-      for (int x = 0; x < g.out_w; ++x) {
-        std::fill(ctx.block_sums.begin(), ctx.block_sums.end(), 0.0);
-        std::fill(ctx.n_active.begin(), ctx.n_active.end(), 0);
-        const int window_rows = is_conv ? g.kernel : 1;
-        for (int di = 0; di < window_rows; ++di) {
-          const float* in_px =
-              is_conv ? ctx.dac_vals.data() +
-                            (static_cast<std::size_t>(y + di) * g.in_w + x) *
-                                g.in_ch
-                      : ctx.dac_vals.data();
-          const int r0 = di * span;
-          for (int t = 0; t < span; ++t) {
-            const float xq = in_px[t];
-            if (xq == 0.0f) continue;
-            const int r = r0 + t;
-            const int b = m.row_to_block[static_cast<std::size_t>(r)];
-            ++ctx.n_active[static_cast<std::size_t>(b)];
-            const float* wrow =
-                m.eff.data() + static_cast<std::size_t>(r) * cols;
-            double* sums = ctx.block_sums.data() +
-                           static_cast<std::size_t>(b) * cols;
-            for (int c = 0; c < cols; ++c)
-              sums[c] += static_cast<double>(xq) * wrow[c];
-          }
-        }
-        if (m.binarize) {
-          decide_position(m, ctx.block_sums.data(), ctx.n_active.data(),
-                          ctx.pos_bits.data(), ctx.rng);
-          append_position_bits(writer, ctx.pos_bits.data(), cols);
-        } else {
-          merge_classifier(m, scores, ctx);
-        }
-      }
-    }
+    // decide_position's single-block reference (one exact add) per column,
+    // kept in block_sums' scratch.
+    const float* offsets = m.sa_offset.empty() ? nullptr : m.sa_offset.data();
+    ctx.block_sums.resize(static_cast<std::size_t>(cols));
+    for (int c = 0; c < cols; ++c)
+      ctx.block_sums[static_cast<std::size_t>(c)] =
+          static_cast<double>(m.col_threshold[static_cast<std::size_t>(c)]) +
+          (offsets ? offsets[c] : 0.0);
+    ctx.col_cmp.assign(static_cast<std::size_t>(cols) * pwords, 0);
+  }
+  const int taps = g.kernel * g.kernel;
+  ctx.tile_w.resize(static_cast<std::size_t>(taps) *
+                    std::min(cols, kConv0MaxCols));
+  const int blocks = (cols + kConv0MaxCols - 1) / kConv0MaxCols;
+  for (int b = 0, c0 = 0; b < blocks; ++b) {
+    const int nc = cols / blocks + (b < cols % blocks ? 1 : 0);
+    for (int t = 0; t < taps; ++t)
+      for (int j = 0; j < nc; ++j)
+        ctx.tile_w[static_cast<std::size_t>(t) * nc + j] =
+            m.eff[static_cast<std::size_t>(t) * cols + c0 + j];
+    const Conv0Tile tile{
+        ctx.dac_d.data(),
+        g.in_w,
+        g.out_h,
+        g.out_w,
+        g.kernel,
+        ctx.tile_w.data(),
+        noisy ? nullptr : ctx.block_sums.data() + c0,
+        noisy ? ctx.pos_sums.data() + static_cast<std::size_t>(c0) * positions
+              : nullptr,
+        noisy ? nullptr
+              : ctx.col_cmp.data() + static_cast<std::size_t>(c0) * pwords,
+        positions,
+        pwords};
+    kConv0Tiles[static_cast<std::size_t>(nc - 1)](tile);
+    c0 += nc;
   }
 
-  if (m.binarize) {
+  // Fused OR-pool (noise-free): pooling commutes with the transpose, and in
+  // column-major bit rows it is three word ops per output row — so pool
+  // here and interleave only a quarter of the positions, replacing the
+  // or_pool_packed pass entirely.
+  const bool fuse_pool = !noisy && g.pool_after && g.out_w <= 64;
+  if (noisy) {
+    // Noisy readout: band each column's positions at once, then sample the
+    // open reads in decide_position's (position, column) draw order.
+    BitWriter writer(ctx.packed_stage, positions * cols);
+    ctx.band_state.resize(static_cast<std::size_t>(cols) * positions);
+    decide_columns_lazy(m, cfg_.device.read_noise_sigma, ctx.pos_sums.data(),
+                        positions, ctx.band_state.data(), writer, ctx.rng);
     writer.finish();
-    if (g.pool_after)
-      or_pool_packed(ctx.packed_stage, g.out_h, g.out_w, cols, bits_out);
-    else
-      bits_out = ctx.packed_stage;
+  } else {
+    const std::uint64_t* colbits = ctx.col_cmp.data();
+    std::size_t nw = pwords, npos = positions;
+    if (fuse_pool) {
+      const int oh = g.out_h / 2, ow = g.out_w / 2;
+      npos = static_cast<std::size_t>(oh) * ow;
+      nw = (npos + 63) / 64;
+      ctx.col_pool.assign(static_cast<std::size_t>(cols) * nw, 0);
+      for (int c = 0; c < cols; ++c) {
+        const std::uint64_t* src =
+            ctx.col_cmp.data() + static_cast<std::size_t>(c) * pwords;
+        std::uint64_t* dst =
+            ctx.col_pool.data() + static_cast<std::size_t>(c) * nw;
+        std::size_t opos = 0;
+        for (int y = 0; y < oh; ++y, opos += ow) {
+          const std::uint64_t a = extract_bits64(
+              src, static_cast<std::size_t>(2 * y) * g.out_w, g.out_w);
+          const std::uint64_t b2 = extract_bits64(
+              src, static_cast<std::size_t>(2 * y + 1) * g.out_w, g.out_w);
+          const std::uint64_t t = a | b2;
+          const std::uint64_t w = compact_even_bits(t | (t >> 1), ow);
+          dst[opos >> 6] |= w << (opos & 63);
+          if (static_cast<int>(opos & 63) + ow > 64)
+            dst[(opos >> 6) + 1] |= w >> (64 - (opos & 63));
+        }
+      }
+      colbits = ctx.col_pool.data();
+    }
+    quant::PackedBits& emitted = fuse_pool ? bits_out : ctx.packed_stage;
+    BitWriter wr(emitted, npos * cols);
+    // Interleave the column-major bit rows into position-major output,
+    // 8 positions × 8 columns at a time via bit-matrix transposes.
+    const int cg8 = cols / 8;
+    std::size_t pos = 0;
+    for (; pos + 8 <= npos; pos += 8) {
+      std::uint64_t tw[8] = {};  // transposed: byte p = cols of position p
+      for (int g8 = 0; g8 <= cg8; ++g8) {
+        const int base_c = g8 * 8;
+        const int nc = std::min(8, cols - base_c);
+        if (nc <= 0) break;
+        std::uint64_t t = 0;
+        for (int c = 0; c < nc; ++c)
+          t |= ((colbits[static_cast<std::size_t>(base_c + c) * nw +
+                         (pos >> 6)] >>
+                 (pos & 63)) &
+                0xFFu)
+               << (8 * c);
+        t = transpose8x8(t);
+        if (cols <= 8) {
+          // Narrow stages: all eight positions' bits land in one append.
+          wr.append(pack_pos_bytes(t, cols), 8 * cols);
+          break;
+        }
+        for (int p = 0; p < 8; ++p)
+          tw[p] |= ((t >> (8 * p)) & 0xFFu) << base_c;
+      }
+      if (cols > 8)
+        for (int p = 0; p < 8; ++p) wr.append(tw[p], cols);
+    }
+    for (; pos < npos; ++pos) {
+      std::uint64_t word = 0;
+      for (int c = 0; c < cols; ++c)
+        word |= ((colbits[static_cast<std::size_t>(c) * nw + (pos >> 6)] >>
+                  (pos & 63)) &
+                 1u)
+                << c;
+      wr.append(word, cols);
+    }
+    wr.finish();
   }
+  if (fuse_pool) return;
+  if (g.pool_after)
+    or_pool_packed(ctx.packed_stage, g.out_h, g.out_w, cols, bits_out);
+  else
+    bits_out = ctx.packed_stage;
 }
 
 int SeiNetwork::packed_stage_count() const {
   int n = 0;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const PackedStage& ps = layers_[i].packed;
-    if (ps.valid && (i != 0 || ps.dac_exact)) ++n;
-  }
+  for (const StageOp& op : plan_.ops)
+    if (op.engine == StageEngine::kDacDense ||
+        op.engine == StageEngine::kPackedBits)
+      ++n;
   return n;
 }
 
@@ -1206,9 +1070,8 @@ Result<int> SeiNetwork::run_plan(std::span<const float> image,
       quant::unpack_bits(ctx.packed_bits, ctx.bits);
     switch (op.engine) {
       case StageEngine::kDacDense:
-        eval_stage_dac(m, op.dac_kernel, image, ctx.packed_pooled, ctx.scores,
-                       ctx);
-        if (!op.classifier) std::swap(ctx.packed_bits, ctx.packed_pooled);
+        eval_stage_dac(m, image, ctx.packed_pooled, ctx);
+        std::swap(ctx.packed_bits, ctx.packed_pooled);
         break;
       case StageEngine::kScalarFloat:
         eval_stage_float(m, image, ctx.pooled_bits, ctx.scores, ctx);

@@ -116,8 +116,9 @@ class SeiNetwork {
   }
   bool packed_eval() const { return packed_eval_; }
 
-  /// Number of stages whose packed decomposition is usable (stage 0 also
-  /// needs the dense-DAC exactness bound). Diagnostics/benchmarks only.
+  /// Number of plan ops that run a packed engine (kDacDense or
+  /// kPackedBits; 0 with the packed switch off). Diagnostics/benchmarks
+  /// only.
   int packed_stage_count() const;
 
   /// Classifies one image (convenience wrapper: fresh context, stream 0).
@@ -171,16 +172,15 @@ class SeiNetwork {
                         EvalContext& ctx) const;
 
   /// Bit-packed engines (core/bitpack): `eval_stage_packed` is the hidden/
-  /// classifier stage on packed words; `eval_stage_dac` the stage-0 variant
-  /// that caches the DAC output once per image and accumulates densely.
-  /// The sub-kernel is resolved at plan-compile time (core/plan.cpp).
+  /// classifier stage on packed words, its sub-kernel resolved at
+  /// plan-compile time (core/plan.cpp); `eval_stage_dac` the stage-0 column
+  /// tile, which caches the DAC output once per image and convolves densely.
   void eval_stage_packed(const MappedLayer& m, PackedKernel kern,
                          const quant::PackedBits& in,
                          quant::PackedBits& bits_out,
                          std::vector<float>& scores, EvalContext& ctx) const;
-  void eval_stage_dac(const MappedLayer& m, DacKernel kern,
-                      std::span<const float> in, quant::PackedBits& bits_out,
-                      std::vector<float>& scores, EvalContext& ctx) const;
+  void eval_stage_dac(const MappedLayer& m, std::span<const float> in,
+                      quant::PackedBits& bits_out, EvalContext& ctx) const;
 
   /// The executor: runs plan ops [first, last) on ctx's live activations,
   /// engines and converts pre-resolved. `image` feeds stage 0 only; an

@@ -31,7 +31,8 @@ enum class BreakerState {
 const char* to_string(BreakerState s);
 
 struct BreakerConfig {
-  // Trip when the sentinel window drops this many points below baseline.
+  // Trip when the sentinel window drops this many points below the
+  // baseline accuracy of the same probes (Sentinel::window_baseline_pct).
   double trip_drop_pct = 2.0;
   // Close again once a full probe-set measurement is back within this many
   // points of baseline.
@@ -58,7 +59,8 @@ class CircuitBreaker {
   BreakerState state() const { return state_; }
   const BreakerConfig& config() const { return cfg_; }
 
-  /// True when a ready sentinel window justifies tripping.
+  /// True when a ready sentinel window justifies tripping; `baseline_pct`
+  /// is the baseline accuracy of the window's probes.
   bool should_trip(double window_acc_pct, double baseline_pct) const {
     return state_ == BreakerState::kClosed && window_acc_pct >= 0.0 &&
            window_acc_pct <= baseline_pct - cfg_.trip_drop_pct;

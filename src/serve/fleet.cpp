@@ -32,7 +32,9 @@ constexpr std::uint64_t kFleetMagic = 0x315446454c464553ULL;  // "SEFLET1"+pad
 // v2: shard checkpoints moved to two epoch-parity slot files; the manifest's
 // per-shard checkpoint_epoch selects the slot. A v1 manifest (single in-place
 // shard file) cold-starts via the version check below.
-constexpr std::uint32_t kFleetVersion = 2;
+// v3: each shard's sentinel baseline is stored per probe (one outcome byte
+// each) instead of as one percentage; older sets cold-start the same way.
+constexpr std::uint32_t kFleetVersion = 3;
 
 /// Slot file for a shard checkpoint at `epoch`. Two slots alternate by epoch
 /// parity, so the set an in-progress commit writes never aliases the set the
@@ -161,8 +163,11 @@ void FleetRuntime::start() {
       ++storm_cursor_;
   } else {
     // Cold start: per-shard baselines (measure_serial 0 of each shard).
-    for (Shard& sh : shards_)
-      sh.sentinel.set_baseline_pct(measure_probe_accuracy(sh));
+    for (Shard& sh : shards_) {
+      std::vector<std::uint8_t> outcomes;
+      measure_probe_accuracy(sh, &outcomes);
+      sh.sentinel.set_baseline(std::move(outcomes));
+    }
   }
   running_.store(true);
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
@@ -591,18 +596,20 @@ void FleetRuntime::run_probe(int k, std::vector<Pending>& seg) {
   maint_ctx_.meter = nullptr;
   maint_ctx_.energy = nullptr;
   energy_.probe.merge(eacc);
-  sh.sentinel.record(predicted == sh.sentinel.label(probe));
+  sh.sentinel.record(probe, predicted == sh.sentinel.label(probe));
   const double window = sh.sentinel.window_accuracy_pct();
-  if (sh.breaker.should_trip(window, sh.sentinel.baseline_pct())) {
+  if (sh.breaker.should_trip(window, sh.sentinel.window_baseline_pct())) {
     flush(seg);  // the recovery ladder mutates this shard's weights
     run_recovery(k, window);
   }
 }
 
-double FleetRuntime::measure_probe_accuracy(Shard& sh) {
+double FleetRuntime::measure_probe_accuracy(
+    Shard& sh, std::vector<std::uint8_t>* outcomes) {
   const std::uint64_t serial = sh.measure_serial++;
   const int n = sh.sentinel.probe_count();
   int correct = 0;
+  if (outcomes) outcomes->assign(static_cast<std::size_t>(n), 0);
   telemetry::EnergyAccum eacc;
   maint_ctx_.meter = &sei_meter_;
   maint_ctx_.energy = &eacc;
@@ -610,8 +617,10 @@ double FleetRuntime::measure_probe_accuracy(Shard& sh) {
     const long long index =
         kMeasureIndexBase + static_cast<long long>(serial) * n + i;
     if (sh.net->try_predict(sh.sentinel.image(i), maint_ctx_, index).value() ==
-        sh.sentinel.label(i))
+        sh.sentinel.label(i)) {
       ++correct;
+      if (outcomes) (*outcomes)[static_cast<std::size_t>(i)] = 1;
+    }
   }
   maint_ctx_.meter = nullptr;
   maint_ctx_.energy = nullptr;
@@ -805,7 +814,7 @@ Status FleetRuntime::save_manifest(std::uint64_t epoch) {
       w.write_u64(epoch);
       w.write_u32(static_cast<std::uint32_t>(sh.breaker.state()));
       w.write_i32(sh.breaker.trips());
-      w.write_f64(sh.sentinel.baseline_pct());
+      w.write_u8_vec(sh.sentinel.baseline());
       w.write_u64(sh.last_probe_served);
       w.write_u64(sh.last_reattempt_dispatched);
       w.write_u64(sh.measure_serial);
@@ -856,7 +865,7 @@ bool FleetRuntime::try_resume() {
       RuntimeSnapshot snap;
       std::uint32_t state = 0;
       std::int32_t trips = 0;
-      double baseline_pct = 0.0;
+      std::vector<std::uint8_t> baseline;
       std::uint64_t last_probe_served = 0;
       std::uint64_t last_reattempt_dispatched = 0;
       std::uint64_t measure_serial = 0;
@@ -872,7 +881,7 @@ bool FleetRuntime::try_resume() {
       rec.snap.checkpoint_epoch = r.read_u64();
       rec.state = r.read_u32();
       rec.trips = r.read_i32();
-      rec.baseline_pct = r.read_f64();
+      rec.baseline = r.read_u8_vec();
       rec.last_probe_served = r.read_u64();
       rec.last_reattempt_dispatched = r.read_u64();
       rec.measure_serial = r.read_u64();
@@ -881,6 +890,9 @@ bool FleetRuntime::try_resume() {
       rec.window = r.read_u8_vec();
       if (rec.state > static_cast<std::uint32_t>(BreakerState::kShedding))
         return cold("fleet manifest breaker state out of range: " + path);
+      if (static_cast<int>(rec.baseline.size()) !=
+          shards_[0].sentinel.probe_count())
+        return cold("fleet manifest sentinel baseline size mismatch: " + path);
       if (rec.active_storm >= 0 &&
           static_cast<std::size_t>(rec.active_storm) >= storm_.events.size())
         return cold("fleet manifest names a storm event not in the schedule: " +
@@ -921,7 +933,7 @@ bool FleetRuntime::try_resume() {
       // and the slot check above proved the loaded file belongs to it.
       sh.snap = rec.snap;
       sh.breaker.restore(static_cast<BreakerState>(rec.state), rec.trips);
-      sh.sentinel.set_baseline_pct(rec.baseline_pct);
+      sh.sentinel.set_baseline(rec.baseline);
       sh.sentinel.restore_window(rec.window);
       sh.last_probe_served = rec.last_probe_served;
       sh.last_reattempt_dispatched = rec.last_reattempt_dispatched;

@@ -14,8 +14,8 @@
 // Each shard carries its own canary Sentinel, its own CircuitBreaker, the
 // tiered recovery ladder (re-measure → remap+recalibrate → park) and its
 // own crash-safe checkpoint file. A one-shard, one-tenant fleet is the
-// single-chip serving runtime (examples/serve_demo). Across shards the
-// fleet adds:
+// single-chip serving runtime (bench/bench_serving --shards 1). Across
+// shards the fleet adds:
 //
 //  * routing + failover — a request's home shard is ticket % N; when the
 //    home breaker is not closed the request fails over to the next closed
@@ -259,7 +259,11 @@ class FleetRuntime {
   /// Runs one sentinel probe on shard `k`; on trip, flushes `seg` (the
   /// recovery ladder mutates the network) and runs recovery.
   void run_probe(int k, std::vector<Pending>& seg);
-  double measure_probe_accuracy(Shard& sh);
+  /// Classifies the whole probe set on shard `sh` and returns its accuracy
+  /// in percent; `outcomes` (optional) receives one byte per probe, 1 when
+  /// correct.
+  double measure_probe_accuracy(Shard& sh,
+                                std::vector<std::uint8_t>* outcomes = nullptr);
   /// The tiered recovery ladder, run when shard `k`'s breaker trips.
   void run_recovery(int k, double window_acc);
   /// Tier 1, shared by the ladder and the parked-shard re-attempt: repair,

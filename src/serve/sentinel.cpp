@@ -1,6 +1,7 @@
 #include "serve/sentinel.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -26,11 +27,18 @@ std::span<const float> Sentinel::image(int probe) const {
           per_image_};
 }
 
-void Sentinel::record(bool correct) {
-  outcomes_.push_back(correct ? 1 : 0);
-  window_correct_ += correct ? 1 : 0;
+void Sentinel::record(int probe, bool correct) {
+  const bool at_baseline = baseline_.at(static_cast<std::size_t>(probe)) != 0;
+  push(static_cast<std::uint8_t>((correct ? 1 : 0) | (at_baseline ? 2 : 0)));
+}
+
+void Sentinel::push(std::uint8_t o) {
+  outcomes_.push_back(o);
+  window_correct_ += o & 1;
+  window_baseline_correct_ += o >> 1;
   if (static_cast<int>(outcomes_.size()) > cfg_.window) {
-    window_correct_ -= outcomes_.front();
+    window_correct_ -= outcomes_.front() & 1;
+    window_baseline_correct_ -= outcomes_.front() >> 1;
     outcomes_.pop_front();
   }
 }
@@ -40,9 +48,30 @@ double Sentinel::window_accuracy_pct() const {
   return 100.0 * window_correct_ / static_cast<double>(outcomes_.size());
 }
 
+double Sentinel::window_baseline_pct() const {
+  if (!ready()) return -1.0;
+  return 100.0 * window_baseline_correct_ /
+         static_cast<double>(outcomes_.size());
+}
+
 void Sentinel::reset_window() {
   outcomes_.clear();
   window_correct_ = 0;
+  window_baseline_correct_ = 0;
+}
+
+void Sentinel::restore_window(const std::vector<std::uint8_t>& outcomes) {
+  reset_window();
+  for (const std::uint8_t o : outcomes) push(o & 3);
+}
+
+void Sentinel::set_baseline(std::vector<std::uint8_t> outcomes) {
+  SEI_CHECK_MSG(static_cast<int>(outcomes.size()) == probe_count(),
+                "sentinel baseline needs one outcome per probe");
+  int correct = 0;
+  for (const std::uint8_t o : outcomes) correct += o != 0 ? 1 : 0;
+  baseline_ = std::move(outcomes);
+  baseline_pct_ = 100.0 * correct / static_cast<double>(probe_count());
 }
 
 }  // namespace sei::serve

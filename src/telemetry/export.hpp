@@ -2,7 +2,7 @@
 //
 // Three formats:
 //  * JSON snapshot (`sei-metrics-v1`): the machine-readable dump benches and
-//    serve_demo write via --metrics-out; histograms carry their buckets plus
+//    examples write via --metrics-out; histograms carry their buckets plus
 //    derived p50/p99.
 //  * Prometheus text exposition: same data, scrape-compatible; histogram
 //    buckets become cumulative `_bucket{le=...}` series.

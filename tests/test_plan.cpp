@@ -13,6 +13,7 @@
 #include "core/sei_network.hpp"
 #include "data/synthetic_digits.hpp"
 #include "nn/trainer.hpp"
+#include "quant/qnet.hpp"
 #include "quant/threshold_search.hpp"
 #include "telemetry/alloc.hpp"
 #include "workloads/networks.hpp"
@@ -170,6 +171,49 @@ TEST(Plan, InsertsExplicitConvertsAroundScalarIsland) {
     EXPECT_EQ(hw.predict(f.image(i), ctx, i),
               compiled[static_cast<std::size_t>(i)])
         << "image " << i;
+}
+
+TEST(Plan, StageZeroRunsTheDacTileOrTheScalarReference) {
+  // The DAC column tile is the only packed stage-0 kernel. The three paper
+  // networks lower stage 0 to it; a split stage 0 and a multi-channel one
+  // lower to the scalar reference, and stage 1 packs the byte map it emits.
+  for (const char* name : {"network1", "network2", "network3"}) {
+    SCOPED_TRACE(name);
+    const workloads::Workload wl = workloads::workload_by_name(name);
+    nn::Network net = workloads::build_float_network(wl.topo, 7);
+    const quant::QNetwork qnet = quant::build_qnetwork(net, wl.topo);
+    core::SeiNetwork hw(qnet, core::HardwareConfig{});
+    EXPECT_EQ(hw.plan().ops[0].engine, core::StageEngine::kDacDense);
+    EXPECT_EQ(hw.plan().ops[0].dac_kernel, core::DacKernel::kDenseTranspose);
+    EXPECT_EQ(hw.packed_stage_count(), hw.stage_count());
+  }
+
+  Fixture& f = fixture();
+  core::HardwareConfig split;
+  split.limits.max_rows = 16;
+  core::SeiNetwork split_hw(f.qnet, split);
+  ASSERT_GE(split_hw.layer(0).block_count, 2);
+
+  quant::Topology topo;
+  topo.name = "two-channel";
+  topo.input_size = 12;
+  topo.input_channels = 2;
+  topo.stages = {{quant::StageSpec::Kind::Conv, 3, 6, true},
+                 {quant::StageSpec::Kind::Fc, 0, 10, false}};
+  nn::Network two_ch_net = workloads::build_float_network(topo, 11);
+  const quant::QNetwork two_ch = quant::build_qnetwork(two_ch_net, topo);
+  core::SeiNetwork two_ch_hw(two_ch, core::HardwareConfig{});
+  ASSERT_EQ(two_ch_hw.layer(0).geom.in_ch, 2);
+
+  for (core::SeiNetwork* hw : {&split_hw, &two_ch_hw}) {
+    const core::CompiledPlan& plan = hw->plan();
+    EXPECT_EQ(plan.ops[0].engine, core::StageEngine::kScalarFloat);
+    EXPECT_EQ(plan.ops[0].dac_kernel, core::DacKernel::kNone);
+    EXPECT_EQ(plan.ops[0].out_form, core::ActForm::kBytes);
+    EXPECT_EQ(plan.ops[1].engine, core::StageEngine::kPackedBits);
+    EXPECT_TRUE(plan.ops[1].pack_input);
+    EXPECT_EQ(hw->packed_stage_count(), hw->stage_count() - 1);
+  }
 }
 
 TEST(Plan, ScratchCoversIsComponentwise) {
