@@ -323,11 +323,12 @@ int main(int argc, char** argv) try {
                 k, static_cast<unsigned long long>(ss.served),
                 serve::to_string(ss.state), ss.trips, ss.baseline_pct);
     for (const serve::RecoveryRecord& r : fleet.shard_recoveries(k))
-      std::printf("  recovery: tripped @%llu (%.2f%%), %s @%llu (tier %d, "
-                  "%.2f%%, %.1f ms)\n",
+      std::printf("  recovery: tripped @%llu (%.2f%%), %s @%llu "
+                  "(dispatched %llu, tier %d, %.2f%%, %.1f ms)\n",
                   static_cast<unsigned long long>(r.tripped_at_served),
                   r.acc_before_pct, r.closed ? "closed" : "parked",
                   static_cast<unsigned long long>(r.resolved_at_served),
+                  static_cast<unsigned long long>(r.resolved_at_dispatched),
                   r.tier_reached, r.acc_after_pct, r.duration_ms);
   }
 
@@ -425,6 +426,8 @@ int main(int argc, char** argv) try {
       j.begin_object();
       j.kv("tripped_at_served", static_cast<long long>(r.tripped_at_served));
       j.kv("resolved_at_served", static_cast<long long>(r.resolved_at_served));
+      j.kv("resolved_at_dispatched",
+           static_cast<long long>(r.resolved_at_dispatched));
       j.kv("tier_reached", r.tier_reached);
       j.kv("closed", r.closed);
       j.kv("acc_before_pct", r.acc_before_pct);

@@ -107,25 +107,6 @@ class Rng {
     return mean + stddev * gaussian();
   }
 
-  /// Advances the stream exactly as `n` gaussian() calls would, without
-  /// evaluating the skipped values: a cached half is dropped, each whole
-  /// pair replays only its uniform draws (u1's redraw on zero included),
-  /// and an odd remainder draws a real pair so its second half is cached
-  /// for the next call, as the eager calls would leave it.
-  void skip_gaussians(std::uint64_t n) {
-    if (n == 0) return;
-    if (has_cached_gauss_) {
-      has_cached_gauss_ = false;
-      --n;
-    }
-    for (; n >= 2; n -= 2) {
-      while (((*this)() >> 11) == 0) {
-      }
-      (void)(*this)();
-    }
-    if (n == 1) (void)gaussian();
-  }
-
   /// Lognormal with the *multiplicative* sigma given in log-domain: a sample
   /// multiplies its nominal value by exp(sigma * N(0,1) - sigma^2/2), so the
   /// expected multiplier is 1 (energy-preserving device variation).
@@ -177,5 +158,22 @@ class Rng {
   double cached_gauss_ = 0.0;
   bool has_cached_gauss_ = false;
 };
+
+/// Standard normal draw `index` of the counter-based stream `key`: a pure
+/// function of (key, index), so any draw can be taken alone, in any order,
+/// and a draw that is never needed costs nothing (Salmon et al., "Parallel
+/// Random Numbers: As Easy as 1, 2, 3", SC'11). The two uniforms are the
+/// splitmix64 outputs at counters 2·index + 1 and 2·index + 2 of `key`;
+/// Box–Muller turns them into one value. u1 is in [2⁻⁵³, 1], so
+/// |g| ≤ √(−2 ln 2⁻⁵³) ≈ 8.57.
+inline double keyed_gaussian(std::uint64_t key, std::uint64_t index) {
+  std::uint64_t s = key + 2 * index * 0x9e3779b97f4a7c15ULL;
+  const std::uint64_t h1 = splitmix64(s);
+  const std::uint64_t h2 = splitmix64(s);
+  const double u1 = static_cast<double>((h1 >> 11) + 1) * 0x1.0p-53;
+  const double u2 = static_cast<double>(h2 >> 11) * 0x1.0p-53;
+  return std::sqrt(-2.0 * std::log(u1)) *
+         std::cos(2.0 * std::numbers::pi * u2);
+}
 
 }  // namespace sei

@@ -250,41 +250,6 @@ PackedStage build_packed_stage(const std::vector<float>& eff, int rows,
     }
   }
 
-  // Per-column CSR for the batch-of-8 kernel. Same biased decomposition,
-  // but each column lists only its own significance bits, and each entry's
-  // span words sit contiguously for broadcast against 8 positions.
-  ps.cplane_begin.assign(static_cast<std::size_t>(block_count) * cols + 1, 0);
-  for (int b = 0; b < block_count; ++b) {
-    const std::vector<int>& rlist = block_rows[static_cast<std::size_t>(b)];
-    const int span = ps.block_span[static_cast<std::size_t>(b)];
-    for (int c = 0; c < cols; ++c) {
-      const std::int64_t shift =
-          ps.bias[(static_cast<std::size_t>(b) * ps.cgroups + c / kL) * kL +
-                  c % kL];
-      std::uint64_t used_bits = 0;
-      for (const int r : rlist)
-        used_bits |= static_cast<std::uint64_t>(
-            iw[static_cast<std::size_t>(r) * cols + c] + shift);
-      for (std::uint64_t sel = used_bits; sel != 0; sel &= sel - 1) {
-        const int bit = std::countr_zero(sel);
-        ps.cplane_shift.push_back(static_cast<std::uint32_t>(bit));
-        const std::size_t base = ps.cmasks.size();
-        ps.cmask_off.push_back(static_cast<std::uint32_t>(base));
-        ps.cmasks.resize(base + static_cast<std::size_t>(span), 0);
-        for (std::size_t local = 0; local < rlist.size(); ++local) {
-          const int r = rlist[local];
-          if ((static_cast<std::uint64_t>(
-                   iw[static_cast<std::size_t>(r) * cols + c] + shift) >>
-               bit) &
-              1u)
-            ps.cmasks[base + (local >> 6)] |= std::uint64_t{1} << (local & 63);
-        }
-      }
-      ps.cplane_begin[static_cast<std::size_t>(b) * cols + c + 1] =
-          static_cast<std::uint32_t>(ps.cplane_shift.size());
-    }
-  }
-
   // Active-row gather table: one padded int16 vector per row. Usable only
   // when every block column's absolute-value sum fits int16 — then any
   // subset of rows accumulates without overflow.
@@ -580,107 +545,6 @@ void accumulate_position_rows(const PackedStage& ps, int cols,
     n_active[b] = na;
   }
 #endif
-}
-
-void accumulate_positions8(const PackedStage& ps, int cols, int block_count,
-                           const std::uint64_t* lw8,
-                           const std::int32_t* n_active8, double* sums8) {
-  const std::uint32_t* cpb = ps.cplane_begin.data();
-  for (int b = 0; b < block_count; ++b) {
-    const int span = ps.block_span[b];
-    const std::uint64_t* wbase =
-        lw8 + static_cast<std::size_t>(ps.block_loff[b]) * 8;
-#ifdef SEI_BITPACK_AVX512
-    const __m512d navd = _mm512_cvtepi32_pd(_mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(n_active8 + b * 8)));
-    // One vector holds the same local-window word of eight positions; each
-    // plane mask broadcasts against it, so the mask streams through the
-    // cache once per batch instead of once per position.
-    const __m512i z0 = _mm512_loadu_si512(
-        reinterpret_cast<const void*>(wbase));
-    const __m512i z1 = span > 1 ? _mm512_loadu_si512(reinterpret_cast<
-                                      const void*>(wbase + 8))
-                                : _mm512_setzero_si512();
-    for (int c = 0; c < cols; ++c) {
-      const std::size_t idx = static_cast<std::size_t>(b) * cols + c;
-      const std::uint32_t e_end = cpb[idx + 1];
-      std::uint32_t e = cpb[idx];
-      __m512i acc0 = _mm512_setzero_si512();
-      __m512i acc1 = _mm512_setzero_si512();
-      if (span <= 2) {
-        const auto cnt = [&](std::uint32_t ei) {
-          const std::uint64_t* em = ps.cmasks.data() + ps.cmask_off[ei];
-          __m512i ct = _mm512_popcnt_epi64(
-              _mm512_and_si512(_mm512_set1_epi64(em[0]), z0));
-          if (span == 2)
-            ct = _mm512_add_epi64(
-                ct, _mm512_popcnt_epi64(
-                        _mm512_and_si512(_mm512_set1_epi64(em[1]), z1)));
-          return ct;
-        };
-        for (; e + 1 < e_end; e += 2) {
-          acc0 = _mm512_add_epi64(
-              acc0, _mm512_sllv_epi64(
-                        cnt(e), _mm512_set1_epi64(ps.cplane_shift[e])));
-          acc1 = _mm512_add_epi64(
-              acc1, _mm512_sllv_epi64(
-                        cnt(e + 1), _mm512_set1_epi64(ps.cplane_shift[e + 1])));
-        }
-        if (e < e_end)
-          acc0 = _mm512_add_epi64(
-              acc0, _mm512_sllv_epi64(
-                        cnt(e), _mm512_set1_epi64(ps.cplane_shift[e])));
-      } else {
-        for (; e < e_end; ++e) {
-          const std::uint64_t* em = ps.cmasks.data() + ps.cmask_off[e];
-          __m512i ct = _mm512_setzero_si512();
-          for (int w = 0; w < span; ++w)
-            ct = _mm512_add_epi64(
-                ct, _mm512_popcnt_epi64(_mm512_and_si512(
-                        _mm512_set1_epi64(em[w]),
-                        _mm512_loadu_si512(reinterpret_cast<const void*>(
-                            wbase + static_cast<std::size_t>(w) * 8)))));
-          acc0 = _mm512_add_epi64(
-              acc0,
-              _mm512_sllv_epi64(ct, _mm512_set1_epi64(ps.cplane_shift[e])));
-        }
-      }
-      const __m512i acc = _mm512_add_epi64(acc0, acc1);
-      const double bias = static_cast<double>(
-          ps.bias[(static_cast<std::size_t>(b) * ps.cgroups +
-                   c / PackedStage::kLanes) *
-                      PackedStage::kLanes +
-                  c % PackedStage::kLanes]);
-      // Integers below 2^53 throughout, so cvt + fused multiply-subtract
-      // are exact — same doubles as the all-integer subtraction.
-      _mm512_storeu_pd(sums8 + idx * 8,
-                       _mm512_fnmadd_pd(_mm512_set1_pd(bias), navd,
-                                        _mm512_cvtepi64_pd(acc)));
-    }
-#else
-    for (int c = 0; c < cols; ++c) {
-      const std::size_t idx = static_cast<std::size_t>(b) * cols + c;
-      const std::int64_t bias =
-          ps.bias[(static_cast<std::size_t>(b) * ps.cgroups +
-                   c / PackedStage::kLanes) *
-                      PackedStage::kLanes +
-                  c % PackedStage::kLanes];
-      for (int p = 0; p < 8; ++p) {
-        std::int64_t acc = 0;
-        for (std::uint32_t e = cpb[idx]; e < cpb[idx + 1]; ++e) {
-          const std::uint64_t* em = ps.cmasks.data() + ps.cmask_off[e];
-          std::int64_t ct = 0;
-          for (int w = 0; w < span; ++w)
-            ct += std::popcount(em[w] &
-                                wbase[static_cast<std::size_t>(w) * 8 + p]);
-          acc += ct << ps.cplane_shift[e];
-        }
-        sums8[idx * 8 + p] = static_cast<double>(
-            acc - bias * static_cast<std::int64_t>(n_active8[b * 8 + p]));
-      }
-    }
-#endif
-  }
 }
 
 }  // namespace sei::core

@@ -171,24 +171,14 @@ struct PackedStage {
   std::vector<std::int32_t> block_span;  // k: local words ceil(rows_b / 64)
   std::vector<std::int32_t> block_loff;  // k+1: prefix sums of block_span
 
-  // Position-vectorized per-column layout for the batch-of-8 kernel: CSR
-  // runs per (b·cols + c), each entry one significance bit with
-  // block_span[b] local mask words at cmask_off[e]. Tighter than the
-  // lane-group planes above — a column only lists bits it actually uses —
-  // and laid out so one mask word broadcasts against eight positions.
-  std::vector<std::uint32_t> cplane_begin;
-  std::vector<std::uint32_t> cplane_shift;
-  std::vector<std::uint32_t> cmask_off;
-  std::vector<std::uint64_t> cmasks;
-
   // Active-row gather path: the same integer weights stored as one padded
   // int16 vector per row (stride `cstride`, a multiple of 32, zero tail).
   // When every block column's Σ|w| fits int16 (`rows_ok`), a position's
   // block sums reduce to int16 vector adds over just the *active* rows —
   // the cheapest kernel by far when activations are sparse-to-moderate,
   // and still exact: all partial sums are small integers. The bit-plane
-  // layouts above remain for the !rows_ok fallback and as a second
-  // independent packed implementation for the equivalence tests.
+  // layout above remains for the generic kernel's !rows_ok fallback and as
+  // a second independent packed implementation for the equivalence tests.
   bool rows_ok = false;
   int cstride = 0;
   std::vector<std::int16_t> row_w;
@@ -225,15 +215,5 @@ int compact_block_window(const PackedStage& ps, int b,
 void accumulate_position_rows(const PackedStage& ps, int cols,
                               int block_count, const std::uint64_t* window,
                               double* block_sums, int* n_active);
-
-/// Batched variant of accumulate_position: up to 8 positions at once from
-/// pre-compacted block-local windows. `lw8[(ps.block_loff[b] + w)*8 + p]`
-/// is word w of position p's local window for block b; `n_active8[b*8+p]`
-/// the matching active counts. Writes `sums8[(b*cols + c)*8 + p]` — the
-/// same exact integers-as-doubles accumulate_position produces, with the
-/// per-plane mask loaded once per batch instead of once per position.
-void accumulate_positions8(const PackedStage& ps, int cols, int block_count,
-                           const std::uint64_t* lw8,
-                           const std::int32_t* n_active8, double* sums8);
 
 }  // namespace sei::core

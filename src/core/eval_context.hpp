@@ -1,11 +1,11 @@
 // Per-image evaluation state for the functional simulators.
 //
-// A context bundles the read-noise RNG stream with every scratch buffer one
+// A context bundles the read-noise key with every scratch buffer one
 // image evaluation needs, so that batch loops can hand each worker its own
-// context and share nothing mutable. Combined with the counter-based
-// per-(image, stage) RNG streams (docs/parallelism.md), this makes every
-// prediction a pure function of (network state, image, image_index) —
-// independent of thread count and of the order images are evaluated in.
+// context and share nothing mutable. Combined with the keyed per-read noise
+// draws (docs/parallelism.md), this makes every prediction a pure function
+// of (network state, image, image_index) — independent of thread count and
+// of the order images are evaluated in.
 //
 // Scratch lives behind Scratch<T> spans carved from one arena: bind() sizes
 // the arena to a compiled plan's exact high-water marks (core/plan.hpp), so
@@ -18,8 +18,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/arena.hpp"
+#include "core/lazy_decide.hpp"
 #include "core/plan.hpp"
 #include "exec/cancel.hpp"
 #include "quant/bitpack.hpp"
@@ -29,9 +29,9 @@
 namespace sei::core {
 
 struct EvalContext {
-  /// Read-noise stream of the stage currently being evaluated; the engines
-  /// re-derive it per (image_index, stage) via Rng::fork.
-  Rng rng{0};
+  /// Read noise of the stage currently being evaluated: the executor sets
+  /// its key per (image_index, stage) (SeiNetwork::read_key).
+  ReadNoise noise;
 
   /// Optional cooperative cancel/deadline token. try_predict checks it
   /// between stages and returns Error instead of finishing; the throwing
@@ -114,15 +114,18 @@ struct EvalContext {
   Scratch<double> dac_d;      // dac_vals widened once per image
   Scratch<std::uint8_t> pos_bits;  // one position's column bits
   Scratch<double> tile_w;     // stage-0 column block's taps as doubles
-  Scratch<double> pos_sums;   // stage-0 noisy tile: [col][position] sums
   Scratch<std::uint64_t> col_cmp;   // stage-0 bulk compare bits per column
+  Scratch<std::uint64_t> col_open;  // stage-0 noisy: open reads per column
+  Scratch<double> open_sums;        // stage-0 noisy: [col][position] sums
   Scratch<std::uint64_t> col_pool;  // stage-0 pooled per-column bits
-  Scratch<std::uint64_t> lw8;       // batch-of-8 block-local windows
-  Scratch<std::int32_t> nact8;      // batch-of-8 active counts
-  Scratch<double> sums8;            // batch-of-8 block sums
-  // Lazy noisy decide (core/lazy_decide.hpp); bound only under read noise.
-  Scratch<double> band_ref;          // per-stage thresholds and margins
-  Scratch<std::uint8_t> band_state;  // per-read band state, 2 = open
+  // Row-gather hidden kernel (kRow16Cmp): per-block active-row lists and
+  // floored int16 references.
+  Scratch<std::uint16_t> row_idx;
+  Scratch<std::int16_t> row_ref;
+  // Decide thresholds and the lazy noisy decide (core/lazy_decide.hpp).
+  Scratch<double> thresholds;         // k·cols block_thresholds
+  Scratch<std::uint64_t> open_reads;  // noisy: k open-read masks
+  Scratch<std::uint64_t> col_words;   // noisy: one position's column bits
 
   /// Binds every scratch buffer to `plan`'s exact bounds: one arena
   /// allocation, spans carved out, vectors reserved. Defined in

@@ -1,63 +1,66 @@
-// Lazy exact sense-amp decisions under read noise (docs/kernels.md §6).
+// Keyed read noise and the lazy exact sense-amp decide (docs/kernels.md §6).
 //
 // Under read noise every (column, block) read of a position is
-// raw·(1 + σ·g) with a fresh gaussian g, and SeiNetwork::decide_position
-// draws one g per read in a fixed order. Most reads cannot change their
-// column's vote: g never leaves (−9, 9), so a read whose whole bracket
-// lies on one side of its threshold is decided without a draw, and a
-// column whose certain votes already settle it needs no draws at all. The
-// lazy decides below sample only the reads that can still change a vote,
-// at their eager draw index, and skip the rest with Rng::skip_gaussians —
-// so every output bit, and the stream position after each decide, equal
-// the eager loop's. The scalar engines keep the eager decide_position as
-// the reference; the packed engines run these.
+// raw·(1 + σ·g), and g is keyed: read i of an (image, stage) draws
+// keyed_gaussian(key, i), a pure function of the pair. Reads are numbered
+// position, then column, then block — read (p, c, b) of a stage with `cols`
+// columns and k blocks is (p·cols + c)·k + b — in every engine. Most reads
+// cannot change their column's vote: g never leaves (−9, 9), so a read
+// whose whole bracket lies on one side of its threshold is decided without
+// a draw, and a column whose certain votes already settle it needs no
+// draws at all. The lazy decide below samples only the reads that can
+// still change a vote; since each read's value depends on nothing but its
+// index, it gets the eager loop's bits whatever it samples and in whatever
+// order. The scalar engines keep the eager SeiNetwork::decide_position as
+// the reference.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "common/rng.hpp"
-#include "core/bitpack.hpp"
 #include "core/mapping.hpp"
 
 namespace sei::core {
 
-/// Strict bound on |Rng::gaussian()|: Box–Muller with u1 ≥ 2⁻⁵³ gives
+/// Strict bound on |keyed_gaussian()|: Box–Muller with u1 ≥ 2⁻⁵³ gives
 /// |g| ≤ √(−2 ln 2⁻⁵³) ≈ 8.57.
 inline constexpr double kGaussianBound = 9.0;
 
-/// One noisy read of `current` for the draw `g` — the expression
-/// SeiNetwork::readout evaluates, shared so a sampled read is the same
-/// double on the eager and the lazy path.
+/// One noisy read of `current` for the draw `g` — the expression every
+/// engine evaluates, shared so a sampled read is the same double on the
+/// eager and the lazy path.
 inline double noisy_read(double current, double sigma, double g) {
   return current * (1.0 + sigma * g);
 }
 
-/// Working memory of the lazy decides, carved from EvalContext (bounded by
-/// ScratchPlan::band_ref/band_state).
-struct BandScratch {
-  double* ref = nullptr;          // 2·k·cols: up, then down thresholds
-  std::uint8_t* state = nullptr;  // k·cols: 2 marks an open read
+/// Read noise of one (image, stage) evaluation.
+struct ReadNoise {
+  double sigma = 0.0;
+  std::uint64_t key = 0;  // SeiNetwork::read_key(image, stage)
+
+  /// Read `index` of `current`: noisy_read with keyed draw `index`.
+  double read(double current, std::uint64_t index) const {
+    return noisy_read(current, sigma, keyed_gaussian(key, index));
+  }
 };
 
-/// Fills `ref` (2·k·cols doubles) with the position-invariant part of every
-/// (block, column) threshold plus its rounding margin, then minus it. Call
-/// once per stage evaluation, before decide_position_lazy.
-void lazy_decide_refs(const MappedLayer& m, double* ref);
+/// decide_position's threshold of every (block, column) at a position
+/// with per-block active counts `n_active`: k·cols doubles into `t`,
+/// [block][column], term for term the doubles the scalar decide compares
+/// against. At dyn_beta = 0 (or one block) they do not depend on
+/// `n_active`.
+void block_thresholds(const MappedLayer& m, const int* n_active, double* t);
 
-/// Lazy exact twin of decide_position under read noise `sigma` > 0: same
-/// `out_bits`, same draws consumed. `s.ref` holds lazy_decide_refs(m).
-void decide_position_lazy(const MappedLayer& m, double sigma,
-                          const double* block_sums, const int* n_active,
-                          std::uint8_t* out_bits, const BandScratch& s,
-                          Rng& rng);
-
-/// Lazy exact decide of a whole single-block stage from [col][position]
-/// sums (the stage-0 dense transpose layout): appends each position's
-/// column bits to `writer`, consuming the draws decide_position would make
-/// position by position. `state` holds cols·positions bytes.
-void decide_columns_lazy(const MappedLayer& m, double sigma,
-                         const double* col_sums, std::size_t positions,
-                         std::uint8_t* state, BitWriter& writer, Rng& rng);
+/// Lazy exact twin of decide_position under read noise `noise.sigma` > 0:
+/// the column bits of the position whose first read is `first_read`
+/// (p·cols·k), from its block sums [block][column] and `t` from
+/// block_thresholds. Writes ⌈cols/64⌉ words to `out`, bit c of word c/64
+/// for column c; `open` holds k words of scratch. Only reads whose band
+/// straddles their threshold in a still unsettled column draw.
+void decide_position_lazy(const MappedLayer& m, const ReadNoise& noise,
+                          std::uint64_t first_read, const double* block_sums,
+                          const double* t, std::uint64_t* open,
+                          std::uint64_t* out);
 
 }  // namespace sei::core

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/eval_context.hpp"
-#include "core/simd_caps.hpp"
 
 namespace sei::core {
 namespace {
@@ -19,6 +18,17 @@ bool dac_tile_fits(const MappedLayer& m) {
   return m.geom.kind == quant::StageSpec::Kind::Conv && m.binarize &&
          m.block_count == 1 && m.geom.in_ch == 1 && m.packed.valid &&
          m.packed.dac_exact;
+}
+
+/// True when a packed hidden stage fits the row-gather kernel (kRow16Cmp):
+/// binarized, at most kRowMaxCols columns and kRowMaxBlocks blocks, row
+/// indices within 16 bits, and an int16 row table (rows_ok). Every other
+/// packed stage runs the generic bit-plane kernel.
+bool row_kernel_fits(const MappedLayer& m) {
+  const PackedStage& ps = m.packed;
+  return m.binarize && m.geom.cols <= kRowMaxCols &&
+         m.block_count <= kRowMaxBlocks && ps.words * 64 <= 65536 &&
+         ps.rows_ok;
 }
 
 /// Folds stage `m`'s scratch needs into `sp` — bounds for BOTH engines of
@@ -53,37 +63,39 @@ void bound_stage(const MappedLayer& m, int stage, bool noisy,
       static_cast<std::size_t>(std::max(0, ps.words)),
       words_for(static_cast<std::size_t>(g.rows)));
   sp.window = std::max(sp.window, ps_words);
-  if (!ps.block_loff.empty()) {
-    const std::size_t lw = static_cast<std::size_t>(ps.block_loff[k]) * 8;
-    sp.lw8 = std::max(sp.lw8, lw);
+  if (row_kernel_fits(m)) {
+    std::size_t span = 0;
+    for (const int s : ps.block_span)
+      span = std::max(span, static_cast<std::size_t>(s));
+    sp.row_idx = std::max(sp.row_idx, k * (span * 64 + kRowListSlack));
+    sp.row_ref = std::max(sp.row_ref, k * 64);
   }
-  sp.nact8 = std::max(sp.nact8, k * 8);
-  sp.sums8 = std::max(sp.sums8, k * cols * 8);
 
   // Stage-0 DAC column tile: the DAC levels, the image as doubles plus the
-  // last strip's overreach, one column block's taps, then [col][position]
-  // sums under read noise or per-column compare bits without it.
+  // last strip's overreach, one column block's taps, then per-column
+  // compare bits (and, under read noise, the band's open reads and their
+  // sums).
   if (stage == 0 && dac_tile_fits(m)) {
     sp.dac_vals = std::max(sp.dac_vals, in_bits);
     sp.dac_d = std::max(sp.dac_d, in_bits + kConv0Pad);
     sp.tile_w = std::max(sp.tile_w, static_cast<std::size_t>(g.rows) *
                                         std::min<std::size_t>(cols,
                                                               kConv0MaxCols));
+    const std::size_t pwords = words_for(positions);
+    sp.col_cmp = std::max(sp.col_cmp, cols * pwords);
+    sp.col_pool = std::max(sp.col_pool, cols * pwords);
     if (noisy) {
-      sp.pos_sums = std::max(sp.pos_sums, positions * cols);
-    } else {
-      const std::size_t pwords = words_for(positions);
-      sp.col_cmp = std::max(sp.col_cmp, cols * pwords);
-      sp.col_pool = std::max(sp.col_pool, cols * pwords);
+      sp.col_open = std::max(sp.col_open, cols * pwords);
+      sp.open_sums = std::max(sp.open_sums, cols * positions);
     }
   }
 
-  // Lazy noisy decide (core/lazy_decide.hpp): per-position bands of the
-  // packed hidden kernel, the whole-stage column band of the stage-0 DAC.
+  // Decide thresholds of the packed hidden kernels, and the lazy noisy
+  // decide's scratch (core/lazy_decide.hpp).
+  if (m.binarize) sp.thresholds = std::max(sp.thresholds, k * cols);
   if (noisy && m.binarize) {
-    sp.band_ref = std::max(sp.band_ref, 2 * k * cols);
-    sp.band_state = std::max(sp.band_state,
-                             stage == 0 ? positions * cols : k * cols);
+    sp.open_reads = std::max(sp.open_reads, k);
+    sp.col_words = std::max(sp.col_words, words_for(cols));
   }
 }
 
@@ -98,19 +110,8 @@ StageEngine select_engine(const MappedLayer& m, int stage, bool packed_eval) {
                                        : StageEngine::kScalarBits;
 }
 
-PackedKernel select_packed_kernel(const MappedLayer& m,
-                                  const HardwareConfig& cfg) {
-  const quant::StageGeometry& g = m.geom;
-  const PackedStage& ps = m.packed;
-  const bool is_conv = g.kind == quant::StageSpec::Kind::Conv;
-  const bool noise_free = cfg.device.read_noise_sigma <= 0.0;
-  if (kHaveAvx512 && !ps.rows_ok && m.binarize && is_conv && g.cols <= 64 &&
-      noise_free)
-    return PackedKernel::kBatch8;
-  if (kHaveAvx512 && ps.rows_ok && m.binarize && m.block_count == 1 &&
-      g.cols <= 32 && noise_free)
-    return PackedKernel::kRow16Cmp;
-  return PackedKernel::kGeneric;
+PackedKernel select_packed_kernel(const MappedLayer& m) {
+  return row_kernel_fits(m) ? PackedKernel::kRow16Cmp : PackedKernel::kGeneric;
 }
 
 template <typename T>
@@ -130,14 +131,15 @@ void ScratchPlan::merge(const ScratchPlan& o) {
   dac_d = std::max(dac_d, o.dac_d);
   pos_bits = std::max(pos_bits, o.pos_bits);
   tile_w = std::max(tile_w, o.tile_w);
-  pos_sums = std::max(pos_sums, o.pos_sums);
+  col_open = std::max(col_open, o.col_open);
+  open_sums = std::max(open_sums, o.open_sums);
   col_cmp = std::max(col_cmp, o.col_cmp);
   col_pool = std::max(col_pool, o.col_pool);
-  lw8 = std::max(lw8, o.lw8);
-  nact8 = std::max(nact8, o.nact8);
-  sums8 = std::max(sums8, o.sums8);
-  band_ref = std::max(band_ref, o.band_ref);
-  band_state = std::max(band_state, o.band_state);
+  row_idx = std::max(row_idx, o.row_idx);
+  row_ref = std::max(row_ref, o.row_ref);
+  thresholds = std::max(thresholds, o.thresholds);
+  open_reads = std::max(open_reads, o.open_reads);
+  col_words = std::max(col_words, o.col_words);
   scores = std::max(scores, o.scores);
   bitmap_bytes = std::max(bitmap_bytes, o.bitmap_bytes);
   packed_words = std::max(packed_words, o.packed_words);
@@ -149,11 +151,13 @@ bool ScratchPlan::covers(const ScratchPlan& o) const {
          plane_sums >= o.plane_sums && merged >= o.merged &&
          window >= o.window && dac_vals >= o.dac_vals && dac_d >= o.dac_d &&
          pos_bits >= o.pos_bits && tile_w >= o.tile_w &&
-         pos_sums >= o.pos_sums && col_cmp >= o.col_cmp &&
-         col_pool >= o.col_pool && lw8 >= o.lw8 && nact8 >= o.nact8 &&
-         sums8 >= o.sums8 && band_ref >= o.band_ref &&
-         band_state >= o.band_state && scores >= o.scores &&
-         bitmap_bytes >= o.bitmap_bytes && packed_words >= o.packed_words;
+         col_open >= o.col_open && open_sums >= o.open_sums &&
+         col_cmp >= o.col_cmp &&
+         col_pool >= o.col_pool && row_idx >= o.row_idx &&
+         row_ref >= o.row_ref && thresholds >= o.thresholds &&
+         open_reads >= o.open_reads && col_words >= o.col_words &&
+         scores >= o.scores && bitmap_bytes >= o.bitmap_bytes &&
+         packed_words >= o.packed_words;
 }
 
 void ScratchPlan::finalize() {
@@ -162,13 +166,16 @@ void ScratchPlan::finalize() {
                 span_bytes<std::uint64_t>(window) +
                 span_bytes<float>(dac_vals) + span_bytes<double>(dac_d) +
                 span_bytes<std::uint8_t>(pos_bits) +
-                span_bytes<double>(tile_w) + span_bytes<double>(pos_sums) +
+                span_bytes<double>(tile_w) +
+                span_bytes<std::uint64_t>(col_open) +
+                span_bytes<double>(open_sums) +
                 span_bytes<std::uint64_t>(col_cmp) +
                 span_bytes<std::uint64_t>(col_pool) +
-                span_bytes<std::uint64_t>(lw8) +
-                span_bytes<std::int32_t>(nact8) + span_bytes<double>(sums8) +
-                span_bytes<double>(band_ref) +
-                span_bytes<std::uint8_t>(band_state);
+                span_bytes<std::uint16_t>(row_idx) +
+                span_bytes<std::int16_t>(row_ref) +
+                span_bytes<double>(thresholds) +
+                span_bytes<std::uint64_t>(open_reads) +
+                span_bytes<std::uint64_t>(col_words);
 }
 
 CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
@@ -218,7 +225,7 @@ CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
     }
     live = op.out_form;
     if (op.engine == StageEngine::kPackedBits)
-      op.packed_kernel = select_packed_kernel(m, cfg);
+      op.packed_kernel = select_packed_kernel(m);
     if (op.engine == StageEngine::kDacDense)
       op.dac_kernel = DacKernel::kDenseTranspose;
     // Row billing applies to the SEI hidden/classifier stages only —
@@ -249,14 +256,15 @@ void EvalContext::bind(const ScratchPlan& plan) {
   dac_d.bind(arena_, plan.dac_d);
   pos_bits.bind(arena_, plan.pos_bits);
   tile_w.bind(arena_, plan.tile_w);
-  pos_sums.bind(arena_, plan.pos_sums);
+  col_open.bind(arena_, plan.col_open);
+  open_sums.bind(arena_, plan.open_sums);
   col_cmp.bind(arena_, plan.col_cmp);
   col_pool.bind(arena_, plan.col_pool);
-  lw8.bind(arena_, plan.lw8);
-  nact8.bind(arena_, plan.nact8);
-  sums8.bind(arena_, plan.sums8);
-  band_ref.bind(arena_, plan.band_ref);
-  band_state.bind(arena_, plan.band_state);
+  row_idx.bind(arena_, plan.row_idx);
+  row_ref.bind(arena_, plan.row_ref);
+  thresholds.bind(arena_, plan.thresholds);
+  open_reads.bind(arena_, plan.open_reads);
+  col_words.bind(arena_, plan.col_words);
   // Swap-rotated buffers: every one of the trio can hold any stage's
   // largest map, so all reserve the shared bound.
   stage_bits.reserve(plan.bitmap_bytes);

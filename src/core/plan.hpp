@@ -8,9 +8,9 @@
 // remap, fault repair, or checkpoint restore — into a CompiledPlan:
 //
 //  * a flat array of StageOps with the engine AND the packed sub-kernel
-//    resolved per layer geometry (bit-plane batch-of-8 vs int16 row-gather
-//    compare vs generic); stage 0 runs the DAC column tile where it
-//    applies and the scalar reference everywhere else,
+//    resolved per layer geometry (the row-gather compare kernel vs
+//    generic); stage 0 runs the DAC column tile where it applies and the
+//    scalar reference everywhere else,
 //  * explicit activation-form converts (bytes ↔ packed words) inserted at
 //    the stage boundaries that need them,
 //  * per-stage energy prices baked in from the attached meter,
@@ -49,14 +49,24 @@ enum class ActForm : std::uint8_t {
   kScores,  // classifier scores (terminal)
 };
 
-/// Hidden-stage packed sub-kernel, resolved at compile time from geometry,
-/// noise config, and the SIMD capabilities of this build (simd_caps.hpp).
+/// Hidden-stage packed sub-kernel, resolved at compile time from the
+/// stage geometry. kBatch8 names a retired kernel and stays only because
+/// the benchmark's kernel-name probe still switches on it.
 enum class PackedKernel : std::uint8_t {
   kNone,      // op does not run the packed engine
-  kBatch8,    // batch-of-8 positions over per-column planes (AVX-512)
-  kRow16Cmp,  // int16 row-gather + in-register compare (AVX-512)
-  kGeneric,   // per-position bit-plane / row-gather accumulate
+  kBatch8,    // retired
+  kRow16Cmp,  // row-gather in int16 lanes, compare + vote in registers;
+              // binarized rows_ok stages of ≤ 64 columns, noisy or not
+  kGeneric,   // per-position bit-plane / row-gather accumulate: the
+              // classifier and every stage kRow16Cmp does not cover
 };
+
+/// kRow16Cmp limits: a position's block votes count in int8 lanes, and
+/// each block's active-row list carries kRowListSlack entries of headroom
+/// for the branch-free extraction's full-vector stores.
+inline constexpr int kRowMaxCols = 64;
+inline constexpr int kRowMaxBlocks = 64;
+inline constexpr std::size_t kRowListSlack = 32;
 
 /// Stage-0 DAC sub-kernel. Every kDacDense op runs kDenseTranspose; the
 /// last two enumerators name retired kernels and stay only because the
@@ -124,14 +134,15 @@ struct ScratchPlan {
   std::size_t dac_d = 0;
   std::size_t pos_bits = 0;
   std::size_t tile_w = 0;
-  std::size_t pos_sums = 0;
   std::size_t col_cmp = 0;
+  std::size_t col_open = 0;   // read-noise networks only
+  std::size_t open_sums = 0;  // read-noise networks only
   std::size_t col_pool = 0;
-  std::size_t lw8 = 0;
-  std::size_t nact8 = 0;
-  std::size_t sums8 = 0;
-  std::size_t band_ref = 0;    // read-noise networks only
-  std::size_t band_state = 0;  // read-noise networks only
+  std::size_t row_idx = 0;
+  std::size_t row_ref = 0;
+  std::size_t thresholds = 0;
+  std::size_t open_reads = 0;  // read-noise networks only
+  std::size_t col_words = 0;   // read-noise networks only
 
   std::size_t scores = 0;        // reserve on ctx.scores (floats)
   std::size_t bitmap_bytes = 0;  // reserve on stage_bits/pooled_bits/bits

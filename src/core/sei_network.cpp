@@ -2,21 +2,23 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "core/bitpack.hpp"
 #include "core/lazy_decide.hpp"
 #include "exec/thread_pool.hpp"
 
-// Vectorized noise-free threshold/vote decisions for the packed engine.
-// Same doubles, same compares, same bits as decide_position — just eight
-// columns per instruction. The scalar decide_position stays the reference;
-// under read noise the packed engines run the lazy exact decides of
-// core/lazy_decide.hpp instead. The AVX-512 gate (SEI_CORE_AVX512) lives
-// in simd_caps.hpp, shared with the plan compiler so kernel selection and
-// kernel availability always agree.
+// The packed kernels decide in registers: the stage-0 tile compares its
+// double accumulators, the row-gather kernel its integer ones against
+// floored references, with the same bits as decide_position. The scalar
+// decide_position stays the reference; under read noise the packed engines
+// band the reads and sample only the open ones (core/lazy_decide.hpp). The
+// AVX-512 gate (SEI_CORE_AVX512) lives in simd_caps.hpp; every kernel has a
+// portable twin that produces the same bits.
 #include "core/simd_caps.hpp"
 
 namespace sei::core {
@@ -95,31 +97,32 @@ void SeiNetwork::prepare(EvalContext& ctx) const {
   if (!ctx.covers(plan_.scratch)) ctx.bind(plan_.scratch);
 }
 
-Rng SeiNetwork::stage_stream(long long image_index, int stage) const {
-  // Two-level fork: an image stream off read_seed_, then a per-stage
-  // substream — both counter-based, so no draw count anywhere matters.
-  return Rng::fork(
+std::uint64_t SeiNetwork::read_key(long long image_index, int stage) const {
+  // Two-level key: an image key off read_seed_, then a per-stage key — both
+  // splitmix64 derivations, so no draw count anywhere matters.
+  return Rng::stream_seed(
       Rng::stream_seed(read_seed_, static_cast<std::uint64_t>(image_index)),
       static_cast<std::uint64_t>(stage));
 }
 
-double SeiNetwork::readout(double current, Rng& rng) const {
-  const double sigma = cfg_.device.read_noise_sigma;
-  if (sigma <= 0.0) return current;
-  return noisy_read(current, sigma, rng.gaussian());
+double SeiNetwork::readout(double current, const ReadNoise& noise,
+                           std::uint64_t index) const {
+  if (noise.sigma <= 0.0) return current;
+  return noise.read(current, index);
 }
 
 void SeiNetwork::decide_position(const MappedLayer& m,
                                  const double* block_sums,
-                                 const int* n_active,
-                                 std::uint8_t* out_bits, Rng& rng) const {
+                                 const int* n_active, std::uint8_t* out_bits,
+                                 const ReadNoise& noise,
+                                 std::uint64_t first_read) const {
   const int cols = m.geom.cols;
   const int k = m.block_count;
-  const bool noisy = cfg_.device.read_noise_sigma > 0.0;
   const float* offsets = m.sa_offset.empty() ? nullptr : m.sa_offset.data();
   if (k == 1) {
     for (int c = 0; c < cols; ++c) {
-      const double sum = noisy ? readout(block_sums[c], rng) : block_sums[c];
+      const double sum = readout(block_sums[c], noise,
+                                 first_read + static_cast<std::uint64_t>(c));
       const double ref =
           static_cast<double>(m.col_threshold[static_cast<std::size_t>(c)]) +
           (offsets ? offsets[c] : 0.0);
@@ -132,17 +135,17 @@ void SeiNetwork::decide_position(const MappedLayer& m,
   const double mean_active = static_cast<double>(total_active) / k;
   const double beta_scale =
       static_cast<double>(m.dyn_beta) * m.mean_abs_eff;
+  std::uint64_t read = first_read;
   for (int c = 0; c < cols; ++c) {
     const double share =
         static_cast<double>(m.col_threshold[static_cast<std::size_t>(c)]) / k;
     int votes = 0;
-    for (int b = 0; b < k; ++b) {
+    for (int b = 0; b < k; ++b, ++read) {
       const double t_b = block_reference(
           share, beta_scale, static_cast<double>(n_active[b]) - mean_active,
           offsets ? offsets[static_cast<std::size_t>(b) * cols + c] : 0.0);
       const double raw = block_sums[static_cast<std::size_t>(b) * cols + c];
-      const double sum = noisy ? readout(raw, rng) : raw;
-      if (sum > t_b) ++votes;
+      if (readout(raw, noise, read) > t_b) ++votes;
     }
     out_bits[c] = votes >= m.vote_threshold ? 1 : 0;
   }
@@ -201,14 +204,14 @@ void SeiNetwork::eval_stage_bits(const MappedLayer& m, const quant::BitMap& in,
       for (int b = 0; b < k; ++b)
         ctx.rows_driven += ctx.n_active[static_cast<std::size_t>(b)];
       if (act) record_activity(g.rows, ctx.window.data(), *act);
+      const std::size_t pos = static_cast<std::size_t>(y) * g.out_w + x;
+      const std::uint64_t first_read = pos * cols * k;
       if (m.binarize) {
-        decide_position(
-            m, ctx.block_sums.data(), ctx.n_active.data(),
-            ctx.stage_bits.data() +
-                (static_cast<std::size_t>(y) * g.out_w + x) * cols,
-            ctx.rng);
+        decide_position(m, ctx.block_sums.data(), ctx.n_active.data(),
+                        ctx.stage_bits.data() + pos * cols, ctx.noise,
+                        first_read);
       } else {
-        merge_classifier(m, scores, ctx);
+        merge_classifier(m, scores, ctx, first_read);
       }
     }
   }
@@ -264,14 +267,14 @@ void SeiNetwork::eval_stage_float(const MappedLayer& m,
             sums[c] += static_cast<double>(xq) * wrow[c];
         }
       }
+      const std::size_t pos = static_cast<std::size_t>(y) * g.out_w + x;
+      const std::uint64_t first_read = pos * cols * k;
       if (m.binarize) {
-        decide_position(
-            m, ctx.block_sums.data(), ctx.n_active.data(),
-            ctx.stage_bits.data() +
-                (static_cast<std::size_t>(y) * g.out_w + x) * cols,
-            ctx.rng);
+        decide_position(m, ctx.block_sums.data(), ctx.n_active.data(),
+                        ctx.stage_bits.data() + pos * cols, ctx.noise,
+                        first_read);
       } else {
-        merge_classifier(m, scores, ctx);
+        merge_classifier(m, scores, ctx, first_read);
       }
     }
   }
@@ -286,15 +289,17 @@ void SeiNetwork::eval_stage_float(const MappedLayer& m,
 
 void SeiNetwork::merge_classifier(const MappedLayer& m,
                                   std::vector<float>& scores,
-                                  EvalContext& ctx) const {
+                                  EvalContext& ctx,
+                                  std::uint64_t first_read) const {
   // Classifier: block currents merge exactly (WTA readout).
   const int cols = m.geom.cols;
   const int k = m.block_count;
+  std::uint64_t read = first_read;
   for (int c = 0; c < cols; ++c) {
     double s = 0.0;
-    for (int b = 0; b < k; ++b)
+    for (int b = 0; b < k; ++b, ++read)
       s += readout(ctx.block_sums[static_cast<std::size_t>(b) * cols + c],
-                   ctx.rng);
+                   ctx.noise, read);
     scores[static_cast<std::size_t>(c)] +=
         static_cast<float>(s * m.weight_scale) +
         m.col_bias[static_cast<std::size_t>(c)];
@@ -358,10 +363,12 @@ void append_position_bits(BitWriter& writer, const std::uint8_t* bits,
 struct Conv0Tile {
   const double* img;  // DAC levels, in_h × in_w, then kConv0Pad zeros
   int in_w, out_h, out_w, kernel;
-  const double* w;    // the block's taps as doubles, [K·K][NC]
-  const double* ref;  // noise-free: the block's column references, else null
-  double* sums;       // noisy: [col][position] sums from the block's column
-  std::uint64_t* cmp; // noise-free: [col][pwords] compare bits, pre-zeroed
+  const double* w;     // the block's taps as doubles, [K·K][NC]
+  const double* ref;   // the block's column references
+  std::uint64_t* cmp;  // [col][pwords] reads above the reference, pre-zeroed
+  std::uint64_t* open; // noisy: [col][pwords] reads the band leaves open
+  double* sums;        // noisy: [col][position] sums, stored for open reads
+  double f_lo, f_hi;   // noisy: 1 + σ·(∓kGaussianBound)
   std::size_t positions, pwords;
 };
 
@@ -378,12 +385,15 @@ inline void or_position_bits(std::uint64_t* words, std::size_t pos,
 
 /// Stage-0 column-blocked direct convolution: each eight-position strip
 /// loads every input vector once and FMAs it into NC column accumulators —
-/// NC independent chains. Noise-free tiles compare the accumulators against
-/// the column references in registers and OR the masks into `cmp`; noisy
-/// tiles store the sums. Any accumulation order is bit-identical under the
-/// dac_exact bound (every partial sum is exact).
-template <int NC>
+/// NC independent chains. The epilogue compares the accumulators against
+/// the column references in registers and ORs the masks into `cmp`; under
+/// read noise it bands them instead (docs/kernels.md §6): `cmp` gets the
+/// reads above the reference for every reachable draw, `open` the reads
+/// the band cannot settle. Any accumulation order is bit-identical under
+/// the dac_exact bound (every partial sum is exact).
+template <int NC, bool kNoisy>
 void conv0_tile(const Conv0Tile& t) {
+  const __m512d f_lo = _mm512_set1_pd(t.f_lo), f_hi = _mm512_set1_pd(t.f_hi);
   for (int y = 0; y < t.out_h; ++y) {
     const double* srow = t.img + static_cast<std::size_t>(y) * t.in_w;
     for (int x = 0; x < t.out_w; x += 8) {
@@ -402,147 +412,31 @@ void conv0_tile(const Conv0Tile& t) {
       }
       const __mmask8 lanes = static_cast<__mmask8>((1u << n) - 1u);
       for (int j = 0; j < NC; ++j) {
-        if (t.ref)
-          or_position_bits(t.cmp + static_cast<std::size_t>(j) * t.pwords, pos,
-                           _mm512_mask_cmp_pd_mask(lanes, acc[j],
-                                                   _mm512_set1_pd(t.ref[j]),
-                                                   _CMP_GT_OQ),
-                           n);
-        else
-          _mm512_mask_storeu_pd(
-              t.sums + static_cast<std::size_t>(j) * t.positions + pos, lanes,
-              acc[j]);
-      }
-    }
-  }
-}
-
-/// decide_position + append_position_bits fused, for the noise-free packed
-/// path: the compare masks ARE the output bits. Threshold expressions
-/// mirror decide_position's operation order exactly, so every compare sees
-/// the same double on both sides.
-void decide_append_fast(const MappedLayer& m, const double* block_sums,
-                        const int* n_active, BitWriter& writer) {
-  const int cols = m.geom.cols, k = m.block_count;
-  const float* ct = m.col_threshold.data();
-  const float* offsets = m.sa_offset.empty() ? nullptr : m.sa_offset.data();
-  if (k == 1) {
-    for (int cg = 0; cg < cols; cg += 8) {
-      const int n = std::min(8, cols - cg);
-      const __mmask8 lm = static_cast<__mmask8>((1u << n) - 1u);
-      __m512d ref = _mm512_cvtps_pd(_mm256_maskz_loadu_ps(lm, ct + cg));
-      if (offsets)
-        ref = _mm512_add_pd(
-            ref, _mm512_cvtps_pd(_mm256_maskz_loadu_ps(lm, offsets + cg)));
-      const __m512d sums = _mm512_maskz_loadu_pd(lm, block_sums + cg);
-      writer.append(_mm512_mask_cmp_pd_mask(lm, sums, ref, _CMP_GT_OQ), n);
-    }
-    return;
-  }
-  int total_active = 0;
-  for (int b = 0; b < k; ++b) total_active += n_active[b];
-  const double mean_active = static_cast<double>(total_active) / k;
-  const double beta_scale = static_cast<double>(m.dyn_beta) * m.mean_abs_eff;
-  const __m512i vote_req = _mm512_set1_epi64(m.vote_threshold);
-  for (int cg = 0; cg < cols; cg += 8) {
-    const int n = std::min(8, cols - cg);
-    const __mmask8 lm = static_cast<__mmask8>((1u << n) - 1u);
-    const __m512d share = _mm512_div_pd(
-        _mm512_cvtps_pd(_mm256_maskz_loadu_ps(lm, ct + cg)),
-        _mm512_set1_pd(static_cast<double>(k)));
-    __m512i votes = _mm512_setzero_si512();
-    for (int b = 0; b < k; ++b) {
-      // block_reference, lane by lane: one fused multiply-add, then the
-      // offset.
-      __m512d t = _mm512_fmadd_pd(
-          _mm512_set1_pd(beta_scale),
-          _mm512_set1_pd(static_cast<double>(n_active[b]) - mean_active),
-          share);
-      if (offsets)
-        t = _mm512_add_pd(t, _mm512_cvtps_pd(_mm256_maskz_loadu_ps(
-                                 lm, offsets + static_cast<std::size_t>(b) *
-                                                   cols + cg)));
-      const __m512d sums = _mm512_maskz_loadu_pd(
-          lm, block_sums + static_cast<std::size_t>(b) * cols + cg);
-      // movm turns the compare mask into -1 lanes; subtracting counts votes.
-      votes = _mm512_sub_epi64(
-          votes,
-          _mm512_movm_epi64(_mm512_mask_cmp_pd_mask(lm, sums, t, _CMP_GT_OQ)));
-    }
-    writer.append(_mm512_cmp_epi64_mask(votes, vote_req, _MM_CMPINT_NLT), n);
-  }
-}
-
-/// Batch-of-8 decide+append over the transposed sums accumulate_positions8
-/// produces: each compare handles one column across eight positions, and
-/// the per-column masks transpose back into position-major words. Scalar
-/// coefficients broadcast, so every lane runs decide_position's exact
-/// operation sequence. Requires cols ≤ 64 and noise-free readout.
-void decide_append_fast8(const MappedLayer& m, const double* sums8,
-                         const std::int32_t* n_active8, int np,
-                         BitWriter& writer) {
-  const int cols = m.geom.cols, k = m.block_count;
-  const float* ct = m.col_threshold.data();
-  const float* offsets = m.sa_offset.empty() ? nullptr : m.sa_offset.data();
-  const __mmask8 pm = static_cast<__mmask8>((1u << np) - 1u);
-  std::uint64_t posw[8] = {};
-  __m512d mean{};
-  double beta_scale = 0.0;
-  if (k > 1) {
-    __m512i total = _mm512_setzero_si512();
-    for (int b = 0; b < k; ++b)
-      total = _mm512_add_epi64(
-          total, _mm512_cvtepi32_epi64(_mm256_loadu_si256(
-                     reinterpret_cast<const __m256i*>(n_active8 + b * 8))));
-    mean = _mm512_div_pd(_mm512_cvtepi64_pd(total),
-                         _mm512_set1_pd(static_cast<double>(k)));
-    beta_scale = static_cast<double>(m.dyn_beta) * m.mean_abs_eff;
-  }
-  const __m512i vote_req = _mm512_set1_epi64(m.vote_threshold);
-  for (int base_c = 0; base_c < cols; base_c += 8) {
-    const int nc = std::min(8, cols - base_c);
-    std::uint64_t t = 0;
-    for (int lc = 0; lc < nc; ++lc) {
-      const int c = base_c + lc;
-      __mmask8 bits;
-      if (k == 1) {
-        const double ref =
-            static_cast<double>(ct[c]) +
-            (offsets ? static_cast<double>(offsets[c]) : 0.0);
-        bits = _mm512_mask_cmp_pd_mask(
-            pm, _mm512_loadu_pd(sums8 + static_cast<std::size_t>(c) * 8),
-            _mm512_set1_pd(ref), _CMP_GT_OQ);
-      } else {
-        const double share = static_cast<double>(ct[c]) / k;
-        __m512i votes = _mm512_setzero_si512();
-        for (int b = 0; b < k; ++b) {
-          const __m512d nav = _mm512_cvtepi32_pd(_mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(n_active8 + b * 8)));
-          __m512d tb = _mm512_fmadd_pd(_mm512_set1_pd(beta_scale),
-                                       _mm512_sub_pd(nav, mean),
-                                       _mm512_set1_pd(share));
-          if (offsets)
-            tb = _mm512_add_pd(
-                tb, _mm512_set1_pd(static_cast<double>(
-                        offsets[static_cast<std::size_t>(b) * cols + c])));
-          const __m512d sums = _mm512_loadu_pd(
-              sums8 + (static_cast<std::size_t>(b) * cols + c) * 8);
-          votes = _mm512_sub_epi64(
-              votes, _mm512_movm_epi64(
-                         _mm512_mask_cmp_pd_mask(pm, sums, tb, _CMP_GT_OQ)));
+        const __m512d ref = _mm512_set1_pd(t.ref[j]);
+        std::uint64_t* cmp = t.cmp + static_cast<std::size_t>(j) * t.pwords;
+        if constexpr (!kNoisy) {
+          or_position_bits(
+              cmp, pos, _mm512_mask_cmp_pd_mask(lanes, acc[j], ref, _CMP_GT_OQ),
+              n);
+          continue;
         }
-        bits = _mm512_mask_cmp_epi64_mask(pm, votes, vote_req,
-                                          _MM_CMPINT_NLT);
+        const __m512d a = _mm512_mul_pd(acc[j], f_lo);
+        const __m512d b = _mm512_mul_pd(acc[j], f_hi);
+        const __mmask8 above = _mm512_mask_cmp_pd_mask(
+            lanes, _mm512_min_pd(a, b), ref, _CMP_GT_OQ);
+        const __mmask8 below = _mm512_mask_cmp_pd_mask(
+            lanes, _mm512_max_pd(a, b), ref, _CMP_LE_OQ);
+        const __mmask8 open = lanes & ~(above | below) & 0xFFu;
+        or_position_bits(cmp, pos, above, n);
+        if (open) {
+          or_position_bits(t.open + static_cast<std::size_t>(j) * t.pwords,
+                           pos, open, n);
+          _mm512_mask_storeu_pd(
+              t.sums + static_cast<std::size_t>(j) * t.positions + pos, open,
+              acc[j]);
+        }
       }
-      t |= static_cast<std::uint64_t>(bits) << (8 * lc);
     }
-    t = transpose8x8(t);
-    for (int p = 0; p < np; ++p)
-      posw[p] |= ((t >> (8 * p)) & 0xFFu) << base_c;
-  }
-  for (int p = 0; p < np; ++p) {
-    writer.append(posw[p], cols);
-    posw[p] = 0;
   }
 }
 
@@ -562,9 +456,9 @@ using Conv0Vec =
 
 /// Portable twin of the AVX-512 conv0_tile: the same column blocking on
 /// strips one register wide, written with GCC/Clang vector extensions
-/// instead of intrinsics. Lanes past out_w read the next row (or the
-/// padding) and are masked off.
-template <int NC>
+/// instead of intrinsics, and the same epilogue lane by lane. Lanes past
+/// out_w read the next row (or the padding) and are masked off.
+template <int NC, bool kNoisy>
 void conv0_tile(const Conv0Tile& t) {
   constexpr int kL = kConv0Lanes;
   for (int y = 0; y < t.out_h; ++y) {
@@ -584,17 +478,27 @@ void conv0_tile(const Conv0Tile& t) {
         }
       }
       for (int j = 0; j < NC; ++j) {
-        if (t.ref) {
-          const auto gt = acc[j] > t.ref[j];  // lanes of −1 / 0
-          std::uint64_t m = 0;
-          for (int l = 0; l < n; ++l)
-            m |= static_cast<std::uint64_t>(gt[l] & 1) << l;
-          or_position_bits(t.cmp + static_cast<std::size_t>(j) * t.pwords, pos,
-                           m, n);
-        } else {
-          double* dst = t.sums + static_cast<std::size_t>(j) * t.positions + pos;
-          for (int l = 0; l < n; ++l) dst[l] = acc[j][l];
+        const double ref = t.ref[j];
+        std::uint64_t above = 0, open = 0;
+        for (int l = 0; l < n; ++l) {
+          if constexpr (!kNoisy) {
+            above |= static_cast<std::uint64_t>(acc[j][l] > ref) << l;
+            continue;
+          }
+          const double a = acc[j][l] * t.f_lo, b = acc[j][l] * t.f_hi;
+          const bool up = std::min(a, b) > ref;
+          const bool down = std::max(a, b) <= ref;
+          above |= static_cast<std::uint64_t>(up) << l;
+          if (up || down) continue;
+          open |= std::uint64_t{1} << l;
+          t.sums[static_cast<std::size_t>(j) * t.positions + pos + l] =
+              acc[j][l];
         }
+        or_position_bits(t.cmp + static_cast<std::size_t>(j) * t.pwords, pos,
+                         above, n);
+        if constexpr (kNoisy)
+          or_position_bits(t.open + static_cast<std::size_t>(j) * t.pwords,
+                           pos, open, n);
       }
     }
   }
@@ -629,20 +533,290 @@ inline void gather_window(const quant::StageGeometry& g, int words,
 
 using Conv0TileFn = void (*)(const Conv0Tile&);
 
-template <std::size_t... I>
+template <bool kNoisy, std::size_t... I>
 constexpr std::array<Conv0TileFn, sizeof...(I)> conv0_tiles(
     std::index_sequence<I...>) {
-  return {&conv0_tile<static_cast<int>(I) + 1>...};
+  return {&conv0_tile<static_cast<int>(I) + 1, kNoisy>...};
 }
 
-/// conv0_tile<NC> for NC = 1..kConv0MaxCols, indexed by NC − 1.
-constexpr auto kConv0Tiles =
-    conv0_tiles(std::make_index_sequence<kConv0MaxCols>{});
+/// conv0_tile<NC, noisy> for NC = 1..kConv0MaxCols, indexed by
+/// [noisy][NC − 1].
+constexpr std::array<std::array<Conv0TileFn, kConv0MaxCols>, 2> kConv0Tiles{
+    conv0_tiles<false>(std::make_index_sequence<kConv0MaxCols>{}),
+    conv0_tiles<true>(std::make_index_sequence<kConv0MaxCols>{})};
+
+// ---------------------------------------------------------------------------
+// kRow16Cmp: the row-gather hidden-stage kernel (docs/kernels.md §5).
+// ---------------------------------------------------------------------------
+
+/// Appends the indices of `bits`' set bits, plus `base`, at `out` in
+/// ascending order and returns the new end. Branch-free: VPCOMPRESSW where
+/// VBMI2 is built, a byte → indices table elsewhere. Writes up to
+/// kRowListSlack entries past the returned end.
+#ifdef SEI_CORE_VBMI2
+inline std::uint16_t* append_set_bits(std::uint64_t bits, unsigned base,
+                                      std::uint16_t* out) {
+  static constexpr std::array<std::uint16_t, 32> kIota = [] {
+    std::array<std::uint16_t, 32> a{};
+    for (int i = 0; i < 32; ++i) a[static_cast<std::size_t>(i)] =
+        static_cast<std::uint16_t>(i);
+    return a;
+  }();
+  const __m512i lo = _mm512_add_epi16(
+      _mm512_loadu_si512(kIota.data()),
+      _mm512_set1_epi16(static_cast<short>(base)));
+  const __m512i hi = _mm512_add_epi16(lo, _mm512_set1_epi16(32));
+  const auto m0 = static_cast<std::uint32_t>(bits);
+  const auto m1 = static_cast<std::uint32_t>(bits >> 32);
+  _mm512_storeu_si512(out, _mm512_maskz_compress_epi16(m0, lo));
+  out += std::popcount(m0);
+  _mm512_storeu_si512(out, _mm512_maskz_compress_epi16(m1, hi));
+  return out + std::popcount(m1);
+}
+#else
+struct BitIndexTable {
+  std::uint16_t idx[256][8] = {};  // byte → its set bits, ascending
+  constexpr BitIndexTable() {
+    for (int v = 0; v < 256; ++v)
+      for (int i = 0, n = 0; i < 8; ++i)
+        if ((v >> i) & 1) idx[v][n++] = static_cast<std::uint16_t>(i);
+  }
+};
+constexpr BitIndexTable kBitIndex{};
+
+inline std::uint16_t* append_set_bits(std::uint64_t bits, unsigned base,
+                                      std::uint16_t* out) {
+  for (int j = 0; j < 8; ++j, bits >>= 8, base += 8) {
+    const auto byte = static_cast<unsigned>(bits & 0xFFu);
+    const std::uint16_t* e = kBitIndex.idx[byte];
+    for (int i = 0; i < 8; ++i)
+      out[i] = static_cast<std::uint16_t>(e[i] + base);
+    out += std::popcount(byte);
+  }
+  return out;
+}
+#endif
+
+/// 32 int16 lanes: one row-table vector, in a register on AVX-512 builds
+/// and split into the target's registers elsewhere.
+using Lane16 = std::int16_t __attribute__((vector_size(64)));
+
+/// The int16 form of a decide threshold `t`: for an integer sum,
+/// sum > t ⟺ sum > ⌊t⌋, and clamping ⌊t⌋ to int16 keeps that exact
+/// because every block sum fits int16 (the row table's Σ|w| bound). A NaN
+/// threshold never fires, as `sum > NaN` never does.
+std::int16_t floor_ref(double t) {
+  constexpr double lo = std::numeric_limits<std::int16_t>::min();
+  constexpr double hi = std::numeric_limits<std::int16_t>::max();
+  if (std::isnan(t)) return std::numeric_limits<std::int16_t>::max();
+  return static_cast<std::int16_t>(std::clamp(std::floor(t), lo, hi));
+}
+
+/// What row_gather_stage needs beyond the geometry, resolved per call.
+struct RowGather {
+  const MappedLayer* m;
+  const std::int16_t* table;  // [row][cstride] integer weights, zero tail
+  std::int16_t* iref;         // k × NV·32 floored references
+  std::uint16_t* lists;       // k × list_stride active-row indices
+  std::size_t list_stride;
+};
+
+/// The hidden-stage kernel: per position, every block's active rows are
+/// listed without branches, their weight vectors summed in int16 lanes (one
+/// accumulator set per block, two chains), and each block compared against
+/// ⌊block reference⌋ in registers. k > 1 votes in int8 lanes. Under read
+/// noise the sums widen to doubles for the lazy decide instead, which
+/// samples only the open reads. Returns the rows driven.
+template <int NV>
+std::int64_t row_gather_stage(const RowGather& rg,
+                              const quant::PackedBits& in, EvalContext& ctx,
+                              BitWriter& writer) {
+  using T = std::int16_t;
+  using V = Lane16;
+  constexpr int L = 32;
+  constexpr int W = NV * L;  // table stride
+  const MappedLayer& m = *rg.m;
+  const quant::StageGeometry& g = m.geom;
+  const PackedStage& ps = m.packed;
+  const int cols = g.cols, k = m.block_count, words = ps.words;
+  const bool is_conv = g.kind == quant::StageSpec::Kind::Conv;
+  const bool noisy = ctx.noise.sigma > 0.0;
+  const double beta_scale = static_cast<double>(m.dyn_beta) * m.mean_abs_eff;
+  // β = 0 (or one block) leaves every reference position-invariant.
+  const bool dynamic = k > 1 && beta_scale != 0.0;
+  const std::uint64_t colmask =
+      cols == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << cols) - 1u;
+  const std::uint64_t* bm = ps.block_masks.data();
+  int* n_active = ctx.n_active.data();
+  double* t = ctx.thresholds.data();
+  EvalContext::StageActivity* act = ctx.cur_activity;
+
+  // decide_position's thresholds; noise-free, floored into int16 lanes.
+  // Lanes past `cols` never fire.
+  const auto fill_refs = [&] {
+    block_thresholds(m, n_active, t);
+    if (noisy) return;
+    for (int b = 0; b < k; ++b)
+      for (int c = 0; c < W; ++c)
+        rg.iref[static_cast<std::size_t>(b) * W + c] =
+            c < cols ? floor_ref(t[static_cast<std::size_t>(b) * cols + c])
+                     : std::numeric_limits<T>::max();
+  };
+  if (!dynamic) {
+    for (int b = 0; b < k; ++b) n_active[b] = 0;
+    fill_refs();
+  }
+#ifdef SEI_CORE_AVX512
+  const __m512i vote_v = _mm512_set1_epi8(
+      static_cast<char>(std::clamp(m.vote_threshold, 0, k + 1)));
+#endif
+  // Adds table row r to the NV accumulators at `a`.
+  const auto add_row = [&](V* a, std::size_t r) {
+    const T* row = rg.table + r * W;
+    for (int v = 0; v < NV; ++v) {
+      V x;
+      std::memcpy(&x, row + v * L, sizeof x);
+      a[v] += x;
+    }
+  };
+
+  std::int64_t rows_driven = 0;
+  const std::uint64_t* wptr = in.words.data();
+  for (int y = 0; y < g.out_h; ++y) {
+    for (int x = 0; x < g.out_w; ++x) {
+      if (is_conv) {
+        gather_window(g, words, in.words.data(), y, x, ctx.window.data());
+        wptr = ctx.window.data();
+      }
+      if (act) record_activity(g.rows, wptr, *act);
+      // Active rows per block: a one-word window is walked bit by bit
+      // below; wider windows list each block's rows first.
+      int total_active = 0;
+      for (int b = 0; b < k; ++b) {
+        if (words == 1) {
+          n_active[b] = std::popcount(wptr[0] & bm[b]);
+        } else {
+          std::uint16_t* const first = rg.lists + b * rg.list_stride;
+          std::uint16_t* end = first;
+          const std::uint64_t* bmb = bm + static_cast<std::size_t>(b) * words;
+          for (int w = 0; w < words; ++w)
+            end = append_set_bits(wptr[w] & bmb[w],
+                                  static_cast<unsigned>(w) * 64, end);
+          n_active[b] = static_cast<int>(end - first);
+        }
+        total_active += n_active[b];
+      }
+      rows_driven += total_active;
+      if (dynamic) fill_refs();
+
+      const std::size_t pos = static_cast<std::size_t>(y) * g.out_w + x;
+      std::uint64_t bits = 0;
+#ifdef SEI_CORE_AVX512
+      __m512i votes = _mm512_setzero_si512();
+#else
+      std::uint8_t votes[64] = {};
+#endif
+      for (int b = 0; b < k; ++b) {
+        // Two accumulator chains, merged at the end.
+        V a0[NV] = {}, a1[NV] = {};
+        if (words == 1) {
+          for (std::uint64_t rows = wptr[0] & bm[b]; rows != 0;) {
+            add_row(a0, static_cast<std::size_t>(std::countr_zero(rows)));
+            rows &= rows - 1;
+            if (rows == 0) break;
+            add_row(a1, static_cast<std::size_t>(std::countr_zero(rows)));
+            rows &= rows - 1;
+          }
+        } else {
+          const std::uint16_t* li = rg.lists + b * rg.list_stride;
+          const int n = n_active[b];
+          int i = 0;
+          for (; i + 1 < n; i += 2) {
+            add_row(a0, li[i]);
+            add_row(a1, li[i + 1]);
+          }
+          if (i < n) add_row(a0, li[i]);
+        }
+        for (int v = 0; v < NV; ++v) a0[v] += a1[v];
+        if (noisy) {
+          // Widen for the band: every sum is an exact integer.
+          double* dst =
+              ctx.block_sums.data() + static_cast<std::size_t>(b) * cols;
+          alignas(64) T s[W];
+          std::memcpy(s, a0, sizeof s);
+          for (int c = 0; c < cols; ++c) dst[c] = static_cast<double>(s[c]);
+          continue;
+        }
+        std::uint64_t gt = 0;
+        const T* r = rg.iref + static_cast<std::size_t>(b) * W;
+        for (int v = 0; v < NV; ++v) {
+          V ref;
+          std::memcpy(&ref, r + v * L, sizeof ref);
+#ifdef SEI_CORE_AVX512
+          const auto acc_i = reinterpret_cast<const __m512i&>(a0[v]);
+          const auto ref_i = reinterpret_cast<const __m512i&>(ref);
+          const std::uint64_t mv = _mm512_cmpgt_epi16_mask(acc_i, ref_i);
+#else
+          const auto gtv = a0[v] > ref;  // lanes of −1 / 0
+          std::uint64_t mv = 0;
+          for (int l = 0; l < L; ++l)
+            mv |= static_cast<std::uint64_t>(gtv[l] & 1) << l;
+#endif
+          gt |= mv << (v * L);
+        }
+        if (k == 1) {
+          bits = gt;
+          break;
+        }
+#ifdef SEI_CORE_AVX512
+        votes = _mm512_sub_epi8(votes, _mm512_movm_epi8(gt));
+#else
+        for (int c = 0; c < 64; ++c)
+          votes[c] = static_cast<std::uint8_t>(votes[c] + ((gt >> c) & 1u));
+#endif
+      }
+      if (noisy) {
+        decide_position_lazy(m, ctx.noise, pos * cols * k,
+                             ctx.block_sums.data(), t, ctx.open_reads.data(),
+                             &bits);
+        writer.append(bits, cols);
+        continue;
+      }
+      if (k > 1) {
+#ifdef SEI_CORE_AVX512
+        bits = _mm512_cmpge_epi8_mask(votes, vote_v);
+#else
+        for (int c = 0; c < cols; ++c)
+          bits |= static_cast<std::uint64_t>(votes[c] >= m.vote_threshold)
+                  << c;
+#endif
+      }
+      writer.append(bits & colmask, cols);
+    }
+  }
+  return rows_driven;
+}
+
+/// Runs row_gather_stage with one or two int16 vectors per row.
+std::int64_t run_row_gather(const MappedLayer& m, const quant::PackedBits& in,
+                            EvalContext& ctx, BitWriter& writer) {
+  const PackedStage& ps = m.packed;
+  const int k = m.block_count;
+  int span = 0;
+  for (int b = 0; b < k; ++b) span = std::max(span, ps.block_span[b]);
+  const std::size_t stride =
+      static_cast<std::size_t>(span) * 64 + kRowListSlack;
+  ctx.row_idx.resize(stride * static_cast<std::size_t>(k));
+  ctx.row_ref.resize(static_cast<std::size_t>(k) * 64);
+  const RowGather rg{&m, ps.row_w.data(), ctx.row_ref.data(),
+                     ctx.row_idx.data(), stride};
+  return m.geom.cols <= 32 ? row_gather_stage<1>(rg, in, ctx, writer)
+                           : row_gather_stage<2>(rg, in, ctx, writer);
+}
 
 }  // namespace
 
-void SeiNetwork::eval_stage_packed(const MappedLayer& m,
-                                   [[maybe_unused]] PackedKernel kern,
+void SeiNetwork::eval_stage_packed(const MappedLayer& m, PackedKernel kern,
                                    const quant::PackedBits& in,
                                    quant::PackedBits& bits_out,
                                    std::vector<float>& scores,
@@ -652,9 +826,6 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
   SEI_CHECK(ps.valid);
   SEI_CHECK(in.bits == static_cast<std::size_t>(g.in_h) * g.in_w * g.in_ch);
   const int cols = g.cols, k = m.block_count;
-  // Rows driven (the row-billing count) come from counts the kernels take
-  // anyway: Σ n_active per position, or one popcount per window word.
-  std::int64_t rows_driven = 0;
   EvalContext::StageActivity* act = ctx.cur_activity;
   ctx.block_sums.resize(static_cast<std::size_t>(k) * cols);
   ctx.n_active.resize(static_cast<std::size_t>(k));
@@ -669,161 +840,53 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m,
   const std::uint64_t* window = in.words.data();
   if (is_conv) ctx.window.resize(static_cast<std::size_t>(ps.words));
 
-#ifdef SEI_CORE_AVX512
-  // Batch-of-8 position pipeline: compact eight conv windows, then run the
-  // per-column mask stream once against all eight. The masks (the dominant
-  // memory traffic of wide hidden stages) are loaded once per batch instead
-  // of once per position, and decide+append vectorize across positions.
-  // Bit-identical to the per-position path: the block sums are the same
-  // exact integers and the noise-free decide makes no RNG draws. Only the
-  // !rows_ok fallback — when the int16 row-gather table is available it
-  // beats streaming the plane masks even once per batch. The selection
-  // conditions live in select_packed_kernel (core/plan.cpp), resolved at
-  // plan-compile time.
-  if (kern == PackedKernel::kBatch8) {
-    const int lw_words = ps.block_loff[k];
-    ctx.lw8.resize(static_cast<std::size_t>(lw_words) * 8);
-    ctx.nact8.resize(static_cast<std::size_t>(k) * 8);
-    ctx.sums8.resize(static_cast<std::size_t>(k) * cols * 8);
-    std::uint64_t lw_tmp[PackedStage::kMaxBlockSpan];
-    for (std::size_t pos = 0; pos < positions; pos += 8) {
-      const int np = static_cast<int>(std::min<std::size_t>(8, positions - pos));
-      if (np < 8) {  // zeroed tail lanes produce harmless zero sums
-        std::fill(ctx.lw8.begin(), ctx.lw8.end(), 0);
-        std::fill(ctx.nact8.begin(), ctx.nact8.end(), 0);
-      }
-      for (int p = 0; p < np; ++p) {
-        gather_window(g, ps.words, in.words.data(),
-                      static_cast<int>((pos + p) / g.out_w),
-                      static_cast<int>((pos + p) % g.out_w),
-                      ctx.window.data());
-        if (act) record_activity(g.rows, ctx.window.data(), *act);
-        for (int b = 0; b < k; ++b) {
-          const int bspan = ps.block_span[b];
-          const int na = compact_block_window(ps, b, ctx.window.data(), lw_tmp);
-          ctx.nact8[static_cast<std::size_t>(b) * 8 + p] = na;
-          rows_driven += na;
-          std::uint64_t* dst =
-              ctx.lw8.data() + static_cast<std::size_t>(ps.block_loff[b]) * 8;
-          for (int w = 0; w < bspan; ++w)
-            dst[static_cast<std::size_t>(w) * 8 + p] = lw_tmp[w];
-        }
-      }
-      accumulate_positions8(ps, cols, k, ctx.lw8.data(), ctx.nact8.data(),
-                            ctx.sums8.data());
-      decide_append_fast8(m, ctx.sums8.data(), ctx.nact8.data(), np, writer);
-    }
-    writer.finish();
-    if (g.pool_after)
-      or_pool_packed(ctx.packed_stage, g.out_h, g.out_w, cols, bits_out);
-    else
-      bits_out = ctx.packed_stage;
-    ctx.rows_driven = rows_driven;
-    return;
+  const ReadNoise& noise = ctx.noise;
+  const bool noisy = noise.sigma > 0.0;
+  if (m.binarize) ctx.thresholds.resize(static_cast<std::size_t>(k) * cols);
+  if (noisy && m.binarize) {
+    ctx.open_reads.resize(static_cast<std::size_t>(k));
+    ctx.col_words.resize((static_cast<std::size_t>(cols) + 63) / 64);
   }
-
-  // Single-block noise-free stages decide with `sum > ref` alone, and the
-  // int16 row-gather accumulator already holds every sum exactly — so
-  // compare in int16 against pre-floored references and never widen to
-  // doubles: for an integer sum, sum > ref ⟺ sum > floor(ref). References
-  // outside int16 range clamp exactly too (|sum| ≤ Σ|w| ≤ 32767 means the
-  // compare is all-false / all-true either way).
+  // Rows driven (the row-billing count) come from counts the kernels take
+  // anyway: Σ n_active per position.
+  std::int64_t rows_driven = 0;
   if (kern == PackedKernel::kRow16Cmp) {
-    const float* ct = m.col_threshold.data();
-    const float* offsets = m.sa_offset.empty() ? nullptr : m.sa_offset.data();
-    alignas(64) std::int16_t iref[32];
-    for (int c = 0; c < 32; ++c) iref[c] = 32767;  // tail lanes never fire
-    for (int c = 0; c < cols; ++c) {
-      const double ref = static_cast<double>(ct[c]) +
-                         (offsets ? static_cast<double>(offsets[c]) : 0.0);
-      iref[c] = static_cast<std::int16_t>(
-          std::clamp(std::floor(ref), -32768.0, 32767.0));
-    }
-    const __m512i refv =
-        _mm512_load_si512(reinterpret_cast<const void*>(iref));
-    const std::uint64_t* bm = ps.block_masks.data();
-    const std::uint64_t colmask = (std::uint64_t{1} << cols) - 1u;
-    const std::int16_t* rw = ps.row_w.data();
+    rows_driven = run_row_gather(m, in, ctx, writer);
+  } else {
     for (int y = 0; y < g.out_h; ++y) {
       for (int x = 0; x < g.out_w; ++x) {
-        const std::uint64_t* wptr = in.words.data();
         if (is_conv) {
-          gather_window(g, ps.words, in.words.data(), y, x,
-                        ctx.window.data());
-          wptr = ctx.window.data();
+          gather_window(g, ps.words, in.words.data(), y, x, ctx.window.data());
+          window = ctx.window.data();
         }
-        if (act) record_activity(g.rows, wptr, *act);
-        __m512i acc0 = _mm512_setzero_si512();
-        __m512i acc1 = _mm512_setzero_si512();
-        bool flip = false;
-        for (int w = 0; w < ps.words; ++w) {
-          std::uint64_t bits = wptr[w] & bm[w];
-          rows_driven += std::popcount(bits);
-          for (; bits != 0; bits &= bits - 1) {
-            const int r = (w << 6) + std::countr_zero(bits);
-            const __m512i row = _mm512_loadu_si512(reinterpret_cast<
-                const void*>(rw + (static_cast<std::size_t>(r) << 5)));
-            if (flip) acc1 = _mm512_add_epi16(acc1, row);
-            else      acc0 = _mm512_add_epi16(acc0, row);
-            flip = !flip;
-          }
-        }
-        const __mmask32 gt =
-            _mm512_cmpgt_epi16_mask(_mm512_add_epi16(acc0, acc1), refv);
-        writer.append(static_cast<std::uint64_t>(gt) & colmask, cols);
-      }
-    }
-    writer.finish();
-    if (g.pool_after)
-      or_pool_packed(ctx.packed_stage, g.out_h, g.out_w, cols, bits_out);
-    else
-      bits_out = ctx.packed_stage;
-    ctx.rows_driven = rows_driven;
-    return;
-  }
-#endif
-
-  const double sigma = cfg_.device.read_noise_sigma;
-  BandScratch band;
-  if (sigma > 0.0 && m.binarize) {
-    ctx.band_ref.resize(2 * static_cast<std::size_t>(k) * cols);
-    ctx.band_state.resize(static_cast<std::size_t>(k) * cols);
-    band = {ctx.band_ref.data(), ctx.band_state.data()};
-    lazy_decide_refs(m, band.ref);
-  }
-  for (int y = 0; y < g.out_h; ++y) {
-    for (int x = 0; x < g.out_w; ++x) {
-      if (is_conv) {
-        gather_window(g, ps.words, in.words.data(), y, x, ctx.window.data());
-        window = ctx.window.data();
-      }
-      if (act) record_activity(g.rows, window, *act);
-      if (ps.rows_ok)
-        accumulate_position_rows(ps, cols, k, window, ctx.block_sums.data(),
-                                 ctx.n_active.data());
-      else
-        accumulate_position(ps, cols, k, window, ctx.block_sums.data(),
-                            ctx.n_active.data());
-      for (int b = 0; b < k; ++b)
-        rows_driven += ctx.n_active[static_cast<std::size_t>(b)];
-      if (m.binarize) {
-#ifdef SEI_CORE_AVX512
-        if (cfg_.device.read_noise_sigma <= 0.0) {
-          decide_append_fast(m, ctx.block_sums.data(), ctx.n_active.data(),
-                             writer);
+        if (act) record_activity(g.rows, window, *act);
+        if (ps.rows_ok)
+          accumulate_position_rows(ps, cols, k, window, ctx.block_sums.data(),
+                                   ctx.n_active.data());
+        else
+          accumulate_position(ps, cols, k, window, ctx.block_sums.data(),
+                              ctx.n_active.data());
+        for (int b = 0; b < k; ++b)
+          rows_driven += ctx.n_active[static_cast<std::size_t>(b)];
+        const std::uint64_t first_read =
+            (static_cast<std::uint64_t>(y) * g.out_w + x) * cols * k;
+        if (!m.binarize) {
+          merge_classifier(m, scores, ctx, first_read);
           continue;
         }
-#endif
-        if (sigma > 0.0)
-          decide_position_lazy(m, sigma, ctx.block_sums.data(),
-                               ctx.n_active.data(), ctx.pos_bits.data(), band,
-                               ctx.rng);
-        else
+        if (!noisy) {
           decide_position(m, ctx.block_sums.data(), ctx.n_active.data(),
-                          ctx.pos_bits.data(), ctx.rng);
-        append_position_bits(writer, ctx.pos_bits.data(), cols);
-      } else {
-        merge_classifier(m, scores, ctx);
+                          ctx.pos_bits.data(), noise, first_read);
+          append_position_bits(writer, ctx.pos_bits.data(), cols);
+          continue;
+        }
+        block_thresholds(m, ctx.n_active.data(), ctx.thresholds.data());
+        decide_position_lazy(m, noise, first_read, ctx.block_sums.data(),
+                             ctx.thresholds.data(), ctx.open_reads.data(),
+                             ctx.col_words.data());
+        for (int c0 = 0; c0 < cols; c0 += 64)
+          writer.append(ctx.col_words[static_cast<std::size_t>(c0 / 64)],
+                        std::min(64, cols - c0));
       }
     }
   }
@@ -852,7 +915,8 @@ void SeiNetwork::eval_stage_dac(const MappedLayer& m, std::span<const float> in,
   const quant::StageGeometry& g = m.geom;
   SEI_CHECK(in.size() == static_cast<std::size_t>(g.in_h) * g.in_w);
   const int cols = g.cols;
-  const bool noisy = cfg_.device.read_noise_sigma > 0.0;
+  const ReadNoise& noise = ctx.noise;
+  const bool noisy = noise.sigma > 0.0;
 
   // The scalar path re-runs the DAC for every overlapping window; quantize
   // the image once instead, then widen it once for the tile.
@@ -864,18 +928,19 @@ void SeiNetwork::eval_stage_dac(const MappedLayer& m, std::span<const float> in,
 
   const std::size_t positions = static_cast<std::size_t>(g.out_h) * g.out_w;
   const std::size_t pwords = (positions + 63) / 64;
+  // decide_position's single-block reference (one exact add) per column,
+  // kept in block_sums' scratch.
+  const float* offsets = m.sa_offset.empty() ? nullptr : m.sa_offset.data();
+  ctx.block_sums.resize(static_cast<std::size_t>(cols));
+  const double* ref = ctx.block_sums.data();
+  for (int c = 0; c < cols; ++c)
+    ctx.block_sums[static_cast<std::size_t>(c)] =
+        static_cast<double>(m.col_threshold[static_cast<std::size_t>(c)]) +
+        (offsets ? offsets[c] : 0.0);
+  ctx.col_cmp.assign(static_cast<std::size_t>(cols) * pwords, 0);
   if (noisy) {
-    ctx.pos_sums.resize(static_cast<std::size_t>(cols) * positions);
-  } else {
-    // decide_position's single-block reference (one exact add) per column,
-    // kept in block_sums' scratch.
-    const float* offsets = m.sa_offset.empty() ? nullptr : m.sa_offset.data();
-    ctx.block_sums.resize(static_cast<std::size_t>(cols));
-    for (int c = 0; c < cols; ++c)
-      ctx.block_sums[static_cast<std::size_t>(c)] =
-          static_cast<double>(m.col_threshold[static_cast<std::size_t>(c)]) +
-          (offsets ? offsets[c] : 0.0);
-    ctx.col_cmp.assign(static_cast<std::size_t>(cols) * pwords, 0);
+    ctx.col_open.assign(static_cast<std::size_t>(cols) * pwords, 0);
+    ctx.open_sums.resize(static_cast<std::size_t>(cols) * positions);
   }
   const int taps = g.kernel * g.kernel;
   ctx.tile_w.resize(static_cast<std::size_t>(taps) *
@@ -894,100 +959,115 @@ void SeiNetwork::eval_stage_dac(const MappedLayer& m, std::span<const float> in,
         g.out_w,
         g.kernel,
         ctx.tile_w.data(),
-        noisy ? nullptr : ctx.block_sums.data() + c0,
-        noisy ? ctx.pos_sums.data() + static_cast<std::size_t>(c0) * positions
+        ref + c0,
+        ctx.col_cmp.data() + static_cast<std::size_t>(c0) * pwords,
+        noisy ? ctx.col_open.data() + static_cast<std::size_t>(c0) * pwords
               : nullptr,
-        noisy ? nullptr
-              : ctx.col_cmp.data() + static_cast<std::size_t>(c0) * pwords,
+        noisy ? ctx.open_sums.data() + static_cast<std::size_t>(c0) * positions
+              : nullptr,
+        1.0 + noise.sigma * -kGaussianBound,
+        1.0 + noise.sigma * kGaussianBound,
         positions,
         pwords};
-    kConv0Tiles[static_cast<std::size_t>(nc - 1)](tile);
+    kConv0Tiles[noisy][static_cast<std::size_t>(nc - 1)](tile);
     c0 += nc;
   }
 
-  // Fused OR-pool (noise-free): pooling commutes with the transpose, and in
-  // column-major bit rows it is three word ops per output row — so pool
-  // here and interleave only a quarter of the positions, replacing the
-  // or_pool_packed pass entirely.
-  const bool fuse_pool = !noisy && g.pool_after && g.out_w <= 64;
   if (noisy) {
-    // Noisy readout: band each column's positions at once, then sample the
-    // open reads in decide_position's (position, column) draw order.
-    BitWriter writer(ctx.packed_stage, positions * cols);
-    ctx.band_state.resize(static_cast<std::size_t>(cols) * positions);
-    decide_columns_lazy(m, cfg_.device.read_noise_sigma, ctx.pos_sums.data(),
-                        positions, ctx.band_state.data(), writer, ctx.rng);
-    writer.finish();
-  } else {
-    const std::uint64_t* colbits = ctx.col_cmp.data();
-    std::size_t nw = pwords, npos = positions;
-    if (fuse_pool) {
-      const int oh = g.out_h / 2, ow = g.out_w / 2;
-      npos = static_cast<std::size_t>(oh) * ow;
-      nw = (npos + 63) / 64;
-      ctx.col_pool.assign(static_cast<std::size_t>(cols) * nw, 0);
-      for (int c = 0; c < cols; ++c) {
-        const std::uint64_t* src =
-            ctx.col_cmp.data() + static_cast<std::size_t>(c) * pwords;
-        std::uint64_t* dst =
-            ctx.col_pool.data() + static_cast<std::size_t>(c) * nw;
-        std::size_t opos = 0;
-        for (int y = 0; y < oh; ++y, opos += ow) {
-          const std::uint64_t a = extract_bits64(
-              src, static_cast<std::size_t>(2 * y) * g.out_w, g.out_w);
-          const std::uint64_t b2 = extract_bits64(
-              src, static_cast<std::size_t>(2 * y + 1) * g.out_w, g.out_w);
-          const std::uint64_t t = a | b2;
-          const std::uint64_t w = compact_even_bits(t | (t >> 1), ow);
-          dst[opos >> 6] |= w << (opos & 63);
-          if (static_cast<int>(opos & 63) + ow > 64)
-            dst[(opos >> 6) + 1] |= w >> (64 - (opos & 63));
+    // Sample the reads the band left open, from the sums the tile stored:
+    // read (p, c) is p·cols + c.
+    for (int c = 0; c < cols; ++c) {
+      const std::uint64_t* open =
+          ctx.col_open.data() + static_cast<std::size_t>(c) * pwords;
+      const double* sums =
+          ctx.open_sums.data() + static_cast<std::size_t>(c) * positions;
+      std::uint64_t* cmp =
+          ctx.col_cmp.data() + static_cast<std::size_t>(c) * pwords;
+      for (std::size_t wi = 0; wi < pwords; ++wi) {
+        for (std::uint64_t bits = open[wi]; bits != 0; bits &= bits - 1) {
+          const int bit = std::countr_zero(bits);
+          const std::size_t pos = wi * 64 + static_cast<std::size_t>(bit);
+          if (noise.read(sums[pos], pos * cols + static_cast<std::size_t>(c)) >
+              ref[c])
+            cmp[wi] |= std::uint64_t{1} << bit;
         }
       }
-      colbits = ctx.col_pool.data();
     }
-    quant::PackedBits& emitted = fuse_pool ? bits_out : ctx.packed_stage;
-    BitWriter wr(emitted, npos * cols);
-    // Interleave the column-major bit rows into position-major output,
-    // 8 positions × 8 columns at a time via bit-matrix transposes.
-    const int cg8 = cols / 8;
-    std::size_t pos = 0;
-    for (; pos + 8 <= npos; pos += 8) {
-      std::uint64_t tw[8] = {};  // transposed: byte p = cols of position p
-      for (int g8 = 0; g8 <= cg8; ++g8) {
-        const int base_c = g8 * 8;
-        const int nc = std::min(8, cols - base_c);
-        if (nc <= 0) break;
-        std::uint64_t t = 0;
-        for (int c = 0; c < nc; ++c)
-          t |= ((colbits[static_cast<std::size_t>(base_c + c) * nw +
-                         (pos >> 6)] >>
-                 (pos & 63)) &
-                0xFFu)
-               << (8 * c);
-        t = transpose8x8(t);
-        if (cols <= 8) {
-          // Narrow stages: all eight positions' bits land in one append.
-          wr.append(pack_pos_bytes(t, cols), 8 * cols);
-          break;
-        }
-        for (int p = 0; p < 8; ++p)
-          tw[p] |= ((t >> (8 * p)) & 0xFFu) << base_c;
-      }
-      if (cols > 8)
-        for (int p = 0; p < 8; ++p) wr.append(tw[p], cols);
-    }
-    for (; pos < npos; ++pos) {
-      std::uint64_t word = 0;
-      for (int c = 0; c < cols; ++c)
-        word |= ((colbits[static_cast<std::size_t>(c) * nw + (pos >> 6)] >>
-                  (pos & 63)) &
-                 1u)
-                << c;
-      wr.append(word, cols);
-    }
-    wr.finish();
   }
+
+  // Fused OR-pool: pooling commutes with the transpose, and in column-major
+  // bit rows it is three word ops per output row — so pool here and
+  // interleave only a quarter of the positions, replacing the
+  // or_pool_packed pass entirely.
+  const bool fuse_pool = g.pool_after && g.out_w <= 64;
+  const std::uint64_t* colbits = ctx.col_cmp.data();
+  std::size_t nw = pwords, npos = positions;
+  if (fuse_pool) {
+    const int oh = g.out_h / 2, ow = g.out_w / 2;
+    npos = static_cast<std::size_t>(oh) * ow;
+    nw = (npos + 63) / 64;
+    ctx.col_pool.assign(static_cast<std::size_t>(cols) * nw, 0);
+    for (int c = 0; c < cols; ++c) {
+      const std::uint64_t* src =
+          ctx.col_cmp.data() + static_cast<std::size_t>(c) * pwords;
+      std::uint64_t* dst =
+          ctx.col_pool.data() + static_cast<std::size_t>(c) * nw;
+      std::size_t opos = 0;
+      for (int y = 0; y < oh; ++y, opos += ow) {
+        const std::uint64_t a = extract_bits64(
+            src, static_cast<std::size_t>(2 * y) * g.out_w, g.out_w);
+        const std::uint64_t b2 = extract_bits64(
+            src, static_cast<std::size_t>(2 * y + 1) * g.out_w, g.out_w);
+        const std::uint64_t t = a | b2;
+        const std::uint64_t w = compact_even_bits(t | (t >> 1), ow);
+        dst[opos >> 6] |= w << (opos & 63);
+        if (static_cast<int>(opos & 63) + ow > 64)
+          dst[(opos >> 6) + 1] |= w >> (64 - (opos & 63));
+      }
+    }
+    colbits = ctx.col_pool.data();
+  }
+  quant::PackedBits& emitted = fuse_pool ? bits_out : ctx.packed_stage;
+  BitWriter wr(emitted, npos * cols);
+  // Interleave the column-major bit rows into position-major output,
+  // 8 positions × 8 columns at a time via bit-matrix transposes.
+  const int cg8 = cols / 8;
+  std::size_t pos = 0;
+  for (; pos + 8 <= npos; pos += 8) {
+    std::uint64_t tw[8] = {};  // transposed: byte p = cols of position p
+    for (int g8 = 0; g8 <= cg8; ++g8) {
+      const int base_c = g8 * 8;
+      const int nc = std::min(8, cols - base_c);
+      if (nc <= 0) break;
+      std::uint64_t t = 0;
+      for (int c = 0; c < nc; ++c)
+        t |= ((colbits[static_cast<std::size_t>(base_c + c) * nw +
+                       (pos >> 6)] >>
+               (pos & 63)) &
+              0xFFu)
+             << (8 * c);
+      t = transpose8x8(t);
+      if (cols <= 8) {
+        // Narrow stages: all eight positions' bits land in one append.
+        wr.append(pack_pos_bytes(t, cols), 8 * cols);
+        break;
+      }
+      for (int p = 0; p < 8; ++p)
+        tw[p] |= ((t >> (8 * p)) & 0xFFu) << base_c;
+    }
+    if (cols > 8)
+      for (int p = 0; p < 8; ++p) wr.append(tw[p], cols);
+  }
+  for (; pos < npos; ++pos) {
+    std::uint64_t word = 0;
+    for (int c = 0; c < cols; ++c)
+      word |= ((colbits[static_cast<std::size_t>(c) * nw + (pos >> 6)] >>
+                (pos & 63)) &
+               1u)
+              << c;
+    wr.append(word, cols);
+  }
+  wr.finish();
   if (fuse_pool) return;
   if (g.pool_after)
     or_pool_packed(ctx.packed_stage, g.out_h, g.out_w, cols, bits_out);
@@ -1057,7 +1137,7 @@ Result<int> SeiNetwork::run_plan(std::span<const float> image,
     if (ctx.cancel && ctx.cancel->expired()) return ctx.cancel->to_error();
     const StageOp& op = plan_.ops[i];
     const MappedLayer& m = layers_[static_cast<std::size_t>(op.stage)];
-    ctx.rng = stage_stream(image_index, op.stage);
+    ctx.noise = {cfg_.device.read_noise_sigma, read_key(image_index, op.stage)};
     ctx.cur_activity = ctx.activity && op.skip_bound >= 0
                            ? ctx.activity + op.stage
                            : nullptr;

@@ -198,24 +198,30 @@ class SeiNetwork {
   void charge(const StageOp& op, EvalContext& ctx) const;
 
   /// Classifier readout: merges one position's block currents into scores.
+  /// Read (c, b) is `first_read + c·k + b`, as in decide_position.
   void merge_classifier(const MappedLayer& m, std::vector<float>& scores,
-                        EvalContext& ctx) const;
+                        EvalContext& ctx, std::uint64_t first_read) const;
 
-  /// Threshold decision + OR-pool over the accumulated block sums of one
-  /// position row; shared by both eval paths.
+  /// Threshold decision over the accumulated block sums of one position;
+  /// the scalar reference both engines are pinned to. Under read noise
+  /// every read draws its keyed gaussian eagerly: read (c, b) of the
+  /// position is `first_read + c·k + b`.
   void decide_position(const MappedLayer& m, const double* block_sums,
                        const int* n_active, std::uint8_t* out_bits,
-                       Rng& rng) const;
+                       const ReadNoise& noise, std::uint64_t first_read) const;
 
   /// Per-read analog noise on a block's column current (the crossbar's
-  /// read_noise_sigma applies at every sense-amp / readout event).
-  double readout(double current, Rng& rng) const;
+  /// read_noise_sigma applies at every sense-amp / readout event): read
+  /// `index` of the current (image, stage).
+  double readout(double current, const ReadNoise& noise,
+                 std::uint64_t index) const;
 
-  /// Read-noise stream for one stage of one image: counter-based, derived
-  /// only from (cfg.seed, image_index, stage). Evaluating stages `s..end`
-  /// from cached inputs therefore replays exactly the draws a full predict
+  /// Read-noise key of one stage of one image: derived only from
+  /// (cfg.seed, image_index, stage), and every read of the stage draws
+  /// keyed_gaussian(key, read index). Evaluating stages `s..end` from
+  /// cached inputs therefore replays exactly the draws a full predict
   /// would make — error_rate_from matches error_rate even under noise.
-  Rng stage_stream(long long image_index, int stage) const;
+  std::uint64_t read_key(long long image_index, int stage) const;
 
   const quant::QNetwork* qnet_;
   HardwareConfig cfg_;
@@ -223,9 +229,9 @@ class SeiNetwork {
   // the programmed state of a (re)mapped stage is reproducible from
   // cfg.seed regardless of how many noisy reads happened before — and
   // sweeping read_noise_sigma cannot perturb the programmed weights across
-  // campaign trials. Read noise is not a member at all: per-(image, stage)
-  // streams are forked on demand (see stage_stream), so evaluation order
-  // and thread count cannot leak into any result.
+  // campaign trials. Read noise is not a member at all: each draw is keyed
+  // by (image, stage, read) (see read_key), so evaluation order and thread
+  // count cannot leak into any result.
   Rng map_rng_;
   std::uint64_t read_seed_;
   CrossbarHook hook_;

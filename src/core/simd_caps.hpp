@@ -1,15 +1,18 @@
 // Single source of truth for the SIMD capability gates of the packed
-// engines. Kernel *selection* now happens at plan-compile time
-// (core/plan.cpp) while the kernels themselves live in core/sei_network.cpp
-// and core/bitpack.cpp — both must agree, at compile time, on which kernels
-// exist in this build, so the gate lives here instead of being re-declared
-// per translation unit.
+// engines' intrinsics (core/sei_network.cpp, core/lazy_decide.cpp). Kernel
+// selection (core/plan.cpp) does not depend on them: every kernel has a
+// portable twin that produces the same bits, so a gate only picks how a
+// kernel is compiled.
 #pragma once
 
-#if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512VL__) && \
-    defined(__AVX512VPOPCNTDQ__)
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
+    defined(__AVX512VL__) && defined(__AVX512VPOPCNTDQ__)
 #include <immintrin.h>
 #define SEI_CORE_AVX512 1
+#if defined(__AVX512VBMI2__)
+// The row-gather kernel lists active rows with VPCOMPRESSW.
+#define SEI_CORE_VBMI2 1
+#endif
 #endif
 #if !defined(SEI_CORE_AVX512) && defined(__BMI2__)
 #include <immintrin.h>
@@ -17,9 +20,10 @@
 
 namespace sei::core {
 
-/// True when the AVX-512 packed kernels (batch-of-8, int16 compare,
-/// conv0_tile, decide_append_fast) are compiled into this binary.
-/// SEI_NATIVE=OFF builds are false and take the portable fallbacks.
+/// True when the AVX-512 intrinsics of the packed kernels (the conv0_tile
+/// strip, the row-gather compare and vote, the lazy band) are compiled into
+/// this binary. SEI_NATIVE=OFF builds are false and take the portable
+/// fallbacks, which produce the same bits.
 #ifdef SEI_CORE_AVX512
 inline constexpr bool kHaveAvx512 = true;
 #else

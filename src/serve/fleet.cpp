@@ -681,6 +681,7 @@ void FleetRuntime::run_recovery(int k, double window_acc) {
 
   rec.closed = closed;
   rec.resolved_at_served = served;
+  rec.resolved_at_dispatched = total_dispatched_;
   rec.acc_after_pct = acc;
   rec.duration_ms = ms_between(t0, Clock::now());
   sh.recoveries.push_back(rec);
@@ -744,6 +745,7 @@ void FleetRuntime::try_reopen(int k) {
     RecoveryRecord& rec = sh.recoveries.back();
     rec.closed = true;
     rec.resolved_at_served = sh.snap.requests_served;
+    rec.resolved_at_dispatched = total_dispatched_;
     rec.acc_after_pct = acc;
     rec.duration_ms += ms_between(t0, Clock::now());
   }

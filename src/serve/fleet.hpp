@@ -80,6 +80,10 @@ struct FleetConfig {
 struct RecoveryRecord {
   std::uint64_t tripped_at_served = 0;
   std::uint64_t resolved_at_served = 0;  // closed OR parked in fallback/shed
+  // Fleet dispatch count at resolution. A parked shard serves nothing, so
+  // resolved_at_served of a heal (try_reopen) still reads the trip's count;
+  // this one shows when the shard came back.
+  std::uint64_t resolved_at_dispatched = 0;
   int tier_reached = 0;
   bool closed = false;  // true when the SEI path was restored
   double acc_before_pct = 0.0;

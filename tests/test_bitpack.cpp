@@ -1,8 +1,8 @@
 // core/bitpack unit tests: bit-vector primitives, the packed OR-pool, and
-// the three integer accumulation kernels (lane-group bit planes, per-column
-// batch-of-8 planes, active-row int16 gather) against brute-force scalar
-// references. Shapes deliberately avoid multiples of 64 so tail-word
-// masking and block-boundary straddles are exercised.
+// the integer accumulation layouts (lane-group bit planes, the int16 row
+// table) against brute-force scalar references. Shapes
+// deliberately avoid multiples of 64 so tail-word masking and
+// block-boundary straddles are exercised.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -179,12 +179,7 @@ TEST_P(BitpackAccumulate, AllKernelsMatchBruteForce) {
   std::vector<double> want_sums, got_sums(nsums);
   std::vector<int> want_active, got_active(static_cast<std::size_t>(s.k));
 
-  // Batch-of-8 scratch, filled one position per lane below.
   const int lwords = ps.block_loff[static_cast<std::size_t>(s.k)];
-  std::vector<std::uint64_t> lw8(static_cast<std::size_t>(lwords) * 8, 0);
-  std::vector<std::int32_t> nact8(static_cast<std::size_t>(s.k) * 8, 0);
-  std::vector<double> sums8(nsums * 8);
-  std::vector<std::vector<double>> batch_want(8);
   std::vector<std::uint64_t> lw(static_cast<std::size_t>(lwords));
 
   for (int p = 0; p < 8; ++p) {
@@ -215,20 +210,20 @@ TEST_P(BitpackAccumulate, AllKernelsMatchBruteForce) {
                                                  lw.data() + ps.block_loff[b]);
       EXPECT_EQ(cnt, want_active[static_cast<std::size_t>(b)])
           << "compact_block_window block " << b;
-      nact8[static_cast<std::size_t>(b) * 8 + p] = cnt;
-      for (int w = 0; w < ps.block_span[static_cast<std::size_t>(b)]; ++w)
-        lw8[static_cast<std::size_t>(ps.block_loff[b] + w) * 8 + p] =
-            lw[static_cast<std::size_t>(ps.block_loff[b] + w)];
     }
-    batch_want[static_cast<std::size_t>(p)] = want_sums;
   }
 
-  core::accumulate_positions8(ps, s.cols, s.k, lw8.data(), nact8.data(),
-                              sums8.data());
-  for (int p = 0; p < 8; ++p)
-    for (std::size_t i = 0; i < nsums; ++i)
-      ASSERT_EQ(sums8[i * 8 + p], batch_want[static_cast<std::size_t>(p)][i])
-          << "accumulate_positions8 p=" << p << " entry " << i;
+  // The row-gather kernel's int16 table, built when every block column's
+  // Σ|w| fits: each row holds the weights, then a zero tail.
+  if (!ps.rows_ok) return;
+  const int stride = ps.cstride;
+  ASSERT_EQ(ps.row_w.size(), static_cast<std::size_t>(s.rows) * stride);
+  for (int r = 0; r < s.rows; ++r)
+    for (int c = 0; c < stride; ++c)
+      ASSERT_EQ(ps.row_w[static_cast<std::size_t>(r) * stride + c],
+                c < s.cols ? eff[static_cast<std::size_t>(r) * s.cols + c]
+                           : 0.0f)
+          << "row " << r << " col " << c;
 }
 
 INSTANTIATE_TEST_SUITE_P(

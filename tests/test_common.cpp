@@ -1,11 +1,13 @@
 // Unit tests for the common utilities: RNG, stats, table, CLI, binary I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <numbers>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
@@ -84,36 +86,67 @@ TEST(Rng, GaussianIsTheBoxMullerPairOfItsUniforms) {
   }
 }
 
-TEST(Rng, SkipGaussiansLandsWhereEagerCallsDo) {
-  // Both starting pair halves: fresh, and with a cached second half.
-  for (const bool half : {false, true}) {
-    for (std::uint64_t n = 0; n <= 9; ++n) {
-      Rng lazy(29), eager(29);
-      if (half) {
-        (void)lazy.gaussian();
-        (void)eager.gaussian();
-      }
-      lazy.skip_gaussians(n);
-      double want = 0.0;
-      for (std::uint64_t i = 0; i <= n; ++i) want = eager.gaussian();
-      EXPECT_EQ(lazy.gaussian(), want) << "n=" << n << " half=" << half;
-      EXPECT_EQ(lazy.gaussian(), eager.gaussian()) << "n=" << n;
-      EXPECT_EQ(lazy(), eager()) << "n=" << n;
-    }
+TEST(Rng, KeyedGaussianStaysInsideTheBand) {
+  // The lazy decide brackets every read at g = ±9: no key and no index may
+  // draw outside that band. The extreme u1 = 2⁻⁵³ gives ≈ 8.57.
+  EXPECT_LT(std::sqrt(-2.0 * std::log(0x1.0p-53)), 9.0);
+  double max_abs = 0.0;
+  for (std::uint64_t key = 0; key < 64; ++key) {
+    const std::uint64_t k = Rng::stream_seed(0x5eed, key);
+    for (std::uint64_t i = 0; i < 20000; ++i)
+      max_abs = std::max(max_abs, std::fabs(keyed_gaussian(k, i)));
   }
+  EXPECT_LT(max_abs, 9.0);
+  EXPECT_GT(max_abs, 4.0);  // 1.28M draws reach the tails
 }
 
-TEST(Rng, SkipGaussiansAfterReseedStartsAFreshPair) {
-  for (std::uint64_t n = 0; n <= 9; ++n) {
-    Rng lazy(31), eager(404);
-    (void)lazy.gaussian();  // leaves a cached half that reseed must drop
-    lazy.reseed(404);
-    lazy.skip_gaussians(n);
-    double want = 0.0;
-    for (std::uint64_t i = 0; i <= n; ++i) want = eager.gaussian();
-    EXPECT_EQ(lazy.gaussian(), want) << "n=" << n;
-    EXPECT_EQ(lazy(), eager()) << "n=" << n;
+TEST(Rng, KeyedGaussianMoments) {
+  // Per key and pooled over keys: mean 0, variance 1, and neighbouring
+  // indices and keys uncorrelated.
+  RunningStats pooled, lag1, keys;
+  for (std::uint64_t key = 0; key < 8; ++key) {
+    const std::uint64_t k = Rng::stream_seed(41, key);
+    const std::uint64_t k2 = Rng::stream_seed(41, key + 100);
+    RunningStats s;
+    double prev = keyed_gaussian(k, 0);
+    for (std::uint64_t i = 1; i < 40000; ++i) {
+      const double g = keyed_gaussian(k, i);
+      s.add(g);
+      pooled.add(g);
+      lag1.add(g * prev);
+      keys.add(g * keyed_gaussian(k2, i));
+      prev = g;
+    }
+    EXPECT_NEAR(s.mean(), 0.0, 0.03) << "key " << key;
+    EXPECT_NEAR(s.stddev(), 1.0, 0.03) << "key " << key;
   }
+  EXPECT_NEAR(pooled.mean(), 0.0, 0.01);
+  EXPECT_NEAR(pooled.stddev(), 1.0, 0.01);
+  EXPECT_NEAR(lag1.mean(), 0.0, 0.01);
+  EXPECT_NEAR(keys.mean(), 0.0, 0.01);
+}
+
+TEST(Rng, KeyedGaussianIsAPureFunctionOfKeyAndIndex) {
+  // Any draw alone, in any order, equals the same draw in sequence; and the
+  // value is Box–Muller of the splitmix64 outputs at counters 2i+1, 2i+2.
+  const std::uint64_t key = Rng::stream_seed(7, 3);
+  std::vector<double> seq;
+  for (std::uint64_t i = 0; i < 1000; ++i)
+    seq.push_back(keyed_gaussian(key, i));
+  std::vector<std::uint64_t> order(seq.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  Rng(5).shuffle(order);
+  for (const std::uint64_t i : order)
+    ASSERT_EQ(keyed_gaussian(key, i), seq[i]) << "index " << i;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    std::uint64_t s = key + 2 * i * 0x9e3779b97f4a7c15ULL;
+    const double u1 =
+        static_cast<double>((splitmix64(s) >> 11) + 1) * 0x1.0p-53;
+    const double u2 = static_cast<double>(splitmix64(s) >> 11) * 0x1.0p-53;
+    EXPECT_EQ(seq[i], std::sqrt(-2.0 * std::log(u1)) *
+                          std::cos(2.0 * std::numbers::pi * u2));
+  }
+  EXPECT_NE(keyed_gaussian(key, 0), keyed_gaussian(key + 1, 0));
 }
 
 TEST(Rng, LognormalMultiplierMeanIsOne) {

@@ -1,11 +1,15 @@
 // Cross-module property tests (parameterized sweeps over configurations).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "arch/cost_model.hpp"
+#include "arch/live_energy.hpp"
 #include "core/mapping.hpp"
+#include "core/sei_network.hpp"
 #include "split/homogenize.hpp"
 #include "workloads/networks.hpp"
 
@@ -169,6 +173,153 @@ TEST(Properties, GeometryChains) {
       EXPECT_EQ(produced, consumed) << name << " stage " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Hidden-stage differential test: the packed hidden kernels against the
+// scalar oracle on seeded random geometries — window rows that are not a
+// multiple of 64 (9-row input words straddling a u64), 1..k blocks in
+// homogenized round-robin or natural order, 1..64 columns, conv and FC
+// hidden stages, pooling, SA offsets, dynamic thresholds, read noise on and
+// off, and weights scaled past the int16 row table (!rows_ok, which the
+// generic kernel runs). Row billing is on, so the energy of each image also
+// pins the rows each kernel reports driving; the activity histograms pin
+// the 9-row word counts.
+TEST(HiddenStage, PackedMatchesScalarOnRandomGeometries) {
+  Rng gen(2024);
+  int split = 0, wide = 0, noisy = 0, pooled = 0, straddle = 0, row16 = 0,
+      fc_row16 = 0, mixed = 0;
+  for (int trial = 0; trial < 28; ++trial) {
+    // Every fourth trial makes stage 1 an FC stage over stage 0's whole
+    // output map, of at most 3 channels so it splits into ≤ 64 blocks.
+    const bool fc1 = trial % 4 == 3;
+    const int channels0 = 1 + static_cast<int>(gen.below(12));
+    const int in_ch = fc1 ? 1 + channels0 % 3 : channels0;  // conv: 9·in_ch rows
+    const int cols = 1 + static_cast<int>(gen.below(64));
+    const int kernel0 = gen.below(2) ? 3 : 5;
+    const bool pool1 = gen.below(2) == 0 && !fc1;
+    // Stage 1's output side: even when pooled.
+    const int out1 = pool1 ? 2 * (2 + static_cast<int>(gen.below(3)))
+                           : 3 + static_cast<int>(gen.below(5));
+    const int input = out1 + 2 + kernel0 - 1;
+    quant::Topology topo;
+    topo.name = "hidden-random";
+    topo.input_size = input;
+    topo.stages = {{quant::StageSpec::Kind::Conv, kernel0, in_ch, false},
+                   fc1 ? quant::StageSpec{quant::StageSpec::Kind::Fc, 0, cols,
+                                          false}
+                       : quant::StageSpec{quant::StageSpec::Kind::Conv, 3,
+                                          cols, pool1},
+                   {quant::StageSpec::Kind::Fc, 0, 10, false}};
+    nn::Network net = workloads::build_float_network(topo, gen());
+    quant::QNetwork qnet = quant::build_qnetwork(net, topo);
+    qnet.layers[0].threshold = static_cast<float>(gen.uniform(-0.2, 0.2));
+    qnet.layers[1].threshold = static_cast<float>(gen.uniform(-0.3, 0.3));
+
+    core::HardwareConfig cfg;
+    const int limits[] = {0, 64, 40, 24};
+    const int max_rows = limits[gen.below(4)];
+    if (max_rows > 0) cfg.limits.max_rows = max_rows;
+    cfg.homogenize = gen.below(2) == 0;
+    cfg.homogenize_iterations = 200;
+    cfg.sa_offset_sigma = gen.below(2) ? 1.5 : 0.0;
+    cfg.device.read_noise_sigma = gen.below(2) ? 0.05 : 0.0;
+    core::SeiNetwork hw(qnet, cfg);
+    core::MappedLayer& m = hw.layer(1);
+    const float betas[] = {0.0f, 0.4f, -0.3f};
+    m.dyn_beta = betas[gen.below(3)];
+    const bool scale = gen.below(4) == 0;
+    if (scale) {  // Σ|w| past int16: no row table
+      for (float& w : m.eff) w *= 4096.0f;
+      for (float& t : m.col_threshold) t *= 4096.0f;
+      m.mean_abs_eff *= 4096.0f;
+      hw.rebuild_packed(1);
+      hw.rebuild_plan();
+    }
+    const telemetry::EnergyMeter meter =
+        arch::make_energy_meter(qnet, hw.config(), core::StructureKind::kSei);
+    hw.set_skip_bounds(std::vector<int>(static_cast<std::size_t>(
+                                            hw.stage_count()),
+                                        0));
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": rows " +
+                 std::to_string(m.geom.rows) + " cols " + std::to_string(cols) +
+                 " k " + std::to_string(m.block_count) + " sigma " +
+                 std::to_string(cfg.device.read_noise_sigma) + " beta " +
+                 std::to_string(m.dyn_beta) + (scale ? " scaled" : "") +
+                 (pool1 ? " pooled" : "") + (fc1 ? " fc" : ""));
+    ASSERT_EQ(hw.plan().ops[1].engine, core::StageEngine::kPackedBits);
+    ASSERT_LE(m.block_count, core::kRowMaxBlocks);
+    EXPECT_EQ(m.packed.rows_ok, !scale);
+    EXPECT_EQ(hw.plan().ops[1].packed_kernel,
+              scale ? core::PackedKernel::kGeneric
+                    : core::PackedKernel::kRow16Cmp);
+
+    data::Dataset d;
+    const int n = 12;
+    d.images = nn::Tensor({n, input, input, 1});
+    for (float& v : d.images.flat())
+      v = gen.below(3) == 0 ? 0.0f : static_cast<float>(gen.uniform(0.0, 1.0));
+    std::vector<int> pred[2];
+    std::vector<double> pj[2];
+    std::vector<std::int64_t> hist[2];
+    for (int p = 0; p < 2; ++p) {
+      hw.set_packed_eval(p == 0);
+      core::EvalContext ctx;
+      std::vector<core::EvalContext::StageActivity> act(
+          static_cast<std::size_t>(hw.stage_count()));
+      ctx.activity = act.data();
+      ctx.meter = &meter;
+      for (int i = 0; i < n; ++i) {
+        telemetry::EnergyAccum e;
+        ctx.energy = &e;
+        const std::size_t px = static_cast<std::size_t>(input) * input;
+        pred[p].push_back(hw.predict(
+            {d.images.data() + static_cast<std::size_t>(i) * px, px}, ctx, i));
+        pj[p].push_back(e.pj.total());
+      }
+      for (const auto& a : act) {
+        hist[p].insert(hist[p].end(), std::begin(a.hist), std::end(a.hist));
+        hist[p].push_back(a.rows_active);
+        hist[p].push_back(a.words_skipped);
+      }
+    }
+    EXPECT_EQ(pred[0], pred[1]);
+    EXPECT_EQ(hist[0], hist[1]);
+    // Stage 1's output bits themselves, and that they are not constant.
+    hw.set_packed_eval(true);
+    const std::vector<quant::BitMap> packed = hw.cache_stage_inputs(d, 2);
+    hw.set_packed_eval(false);
+    EXPECT_EQ(hw.cache_stage_inputs(d, 2), packed);
+    std::size_t ones = 0, bits = 0;
+    for (const quant::BitMap& b : packed) {
+      for (const std::uint8_t v : b) ones += v;
+      bits += b.size();
+    }
+    mixed += ones > 0 && ones < bits;
+    for (int i = 0; i < n; ++i)
+      EXPECT_NEAR(pj[0][static_cast<std::size_t>(i)],
+                  pj[1][static_cast<std::size_t>(i)], 1e-6)
+          << "image " << i;
+    split += m.block_count > 1;
+    wide += scale;
+    noisy += cfg.device.read_noise_sigma > 0.0;
+    pooled += pool1;
+    straddle += m.geom.rows % 64 != 0 && m.geom.rows > 64;
+    row16 += !scale;
+    fc_row16 += fc1 && !scale;
+  }
+  // The sweep reached every case it is meant to cover.
+  EXPECT_GT(split, 0);
+  EXPECT_GT(wide, 0);
+  EXPECT_GT(noisy, 0);
+  EXPECT_GT(pooled, 0);
+  EXPECT_GT(straddle, 0);
+  EXPECT_GT(row16, 0);
+  EXPECT_GT(fc_row16, 0);
+  EXPECT_GT(mixed, 20);  // most trials' compares bite both ways
+  std::printf("hidden-stage sweep: %d split, %d generic, %d noisy, %d pooled, "
+              "%d straddling, %d row-gather FC, %d mixed of 28\n",
+              split, wide, noisy, pooled, straddle, fc_row16, mixed);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -453,6 +454,49 @@ TEST(Fleet, ServedLabelsMatchReferenceAcrossShards) {
   EXPECT_EQ(st.total_dispatched, static_cast<std::uint64_t>(n));
   EXPECT_EQ(st.failovers, 0u);
   EXPECT_EQ(st.shed, 0u);
+}
+
+TEST(Fleet, StormHealResolvesAfterItsTrip) {
+  // A storm that passes: shard 0 trips, parks while the storm is overhead,
+  // and a periodic re-attempt heals it once the storm has moved on. The
+  // healed record's served count is frozen at the trip (a parked shard
+  // serves nothing); its dispatch count shows when the shard came back.
+  Fixture& f = fixture();
+  std::vector<std::unique_ptr<core::SeiNetwork>> nets;
+  std::vector<core::SeiNetwork*> ptrs;
+  for (int k = 0; k < 3; ++k) {
+    core::HardwareConfig cfg;
+    cfg.spare_row_fraction = 0.2;
+    cfg.seed += static_cast<std::uint64_t>(k) * 1000003ULL;
+    nets.push_back(std::make_unique<core::SeiNetwork>(
+        f.qnet, cfg,
+        reliability::make_repair_hook(reliability::RepairConfig{}, nullptr)));
+    ptrs.push_back(nets.back().get());
+  }
+  core::AdcNetwork fallback(f.qnet, core::AdcConfig{}, f.train);
+  serve::FleetRuntime fleet(ptrs, f.qnet, f.test, f.train,
+                            storm_fleet_config("A:1"), &fallback);
+  const std::uint64_t strike = 60, duration = 120;
+  serve::StormSchedule storm;
+  storm.events.push_back({strike, 0, {0, -1, 0.10, 1.0}, duration});
+  fleet.set_storm(storm);
+
+  fleet.start();
+  std::vector<std::future<serve::FleetResponse>> futs;
+  for (int i = 0; i < 600; ++i) futs.push_back(fleet.submit(0, f.image(i)));
+  for (auto& fu : futs) (void)fu.get();
+  fleet.stop();
+
+  const std::vector<serve::RecoveryRecord> recs = fleet.shard_recoveries(0);
+  const auto healed = std::find_if(
+      recs.begin(), recs.end(), [](const serve::RecoveryRecord& r) {
+        return r.tier_reached >= 2 && r.closed;
+      });
+  ASSERT_NE(healed, recs.end()) << "shard 0 must park, then heal";
+  EXPECT_EQ(healed->resolved_at_served, healed->tripped_at_served);
+  EXPECT_GE(healed->resolved_at_dispatched, strike + duration)
+      << "a heal cannot land while the storm is overhead";
+  EXPECT_EQ(fleet.shard_state(0), serve::BreakerState::kClosed);
 }
 
 TEST(Fleet, StormFailoverKeepsServingOnReplicas) {

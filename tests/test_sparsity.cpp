@@ -14,7 +14,6 @@
 #include "arch/live_energy.hpp"
 #include "common/check.hpp"
 #include "core/sei_network.hpp"
-#include "core/simd_caps.hpp"
 #include "data/synthetic_digits.hpp"
 #include "exec/thread_pool.hpp"
 #include "nn/trainer.hpp"
@@ -193,12 +192,12 @@ TEST(Sparsity, EnginesAgreeOnNonIntegralFallback) {
 }
 
 TEST(Sparsity, RowBilledEnergyMatchesAcrossPackedKernels) {
-  // Every packed sub-kernel counts driven rows its own way (lane n_active
-  // in kBatch8, a popcount per window word in kRow16Cmp, Σ n_active in
-  // kGeneric). Each must bill what the scalar oracle bills. network2's
-  // single-block hidden conv runs kRow16Cmp noise-free and kGeneric under
-  // read noise; its classifier always runs kGeneric. Scaling the hidden
-  // weights 4096× overflows the int16 row table, which leaves kBatch8.
+  // Every packed sub-kernel counts driven rows its own way (the lengths of
+  // the per-block active-row lists in kRow16Cmp, Σ n_active in kGeneric).
+  // Each must bill what the scalar oracle bills. network2's single-block
+  // hidden conv runs kRow16Cmp, noise-free and under read noise; its
+  // classifier always runs kGeneric. Scaling the hidden weights 4096×
+  // overflows the int16 row table, which moves the hidden conv to kGeneric.
   Fixture& f = fixture();
   std::vector<core::PackedKernel> seen;
   struct Variant {
@@ -222,6 +221,9 @@ TEST(Sparsity, RowBilledEnergyMatchesAcrossPackedKernels) {
       hw.rebuild_plan();
       ASSERT_FALSE(m.packed.rows_ok);
     }
+    EXPECT_EQ(hw.plan().ops[1].packed_kernel,
+              v.scale == 1.0f ? core::PackedKernel::kRow16Cmp
+                              : core::PackedKernel::kGeneric);
     ASSERT_EQ(hw.packed_stage_count(), hw.stage_count());
     for (const core::StageOp& op : hw.plan().ops)
       seen.push_back(op.packed_kernel);
@@ -231,10 +233,7 @@ TEST(Sparsity, RowBilledEnergyMatchesAcrossPackedKernels) {
     return std::find(seen.begin(), seen.end(), k) != seen.end();
   };
   EXPECT_TRUE(has(core::PackedKernel::kGeneric));
-  if constexpr (core::kHaveAvx512) {
-    EXPECT_TRUE(has(core::PackedKernel::kBatch8));
-    EXPECT_TRUE(has(core::PackedKernel::kRow16Cmp));
-  }
+  EXPECT_TRUE(has(core::PackedKernel::kRow16Cmp));
 }
 
 TEST(Sparsity, PlanResolvesBoundPolicy) {
