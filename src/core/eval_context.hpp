@@ -118,14 +118,15 @@ struct EvalContext {
   Scratch<std::uint64_t> col_open;  // stage-0 noisy: open reads per column
   Scratch<double> open_sums;        // stage-0 noisy: [col][position] sums
   Scratch<std::uint64_t> col_pool;  // stage-0 pooled per-column bits
-  // Row-gather hidden kernel (kRow16Cmp): per-block active-row lists and
-  // floored int16 references.
-  Scratch<std::uint16_t> row_idx;
+  // Row-scatter hidden kernel (kRow16Cmp): one band's int16 accumulators
+  // [position][block][lanes], its per-(position, block) active counts
+  // (dynamic thresholds only), and the int16 references.
+  Scratch<std::int16_t> row_acc;
+  Scratch<std::int32_t> row_cnt;
   Scratch<std::int16_t> row_ref;
   // Decide thresholds and the lazy noisy decide (core/lazy_decide.hpp).
-  Scratch<double> thresholds;         // k·cols block_thresholds
-  Scratch<std::uint64_t> open_reads;  // noisy: k open-read masks
-  Scratch<std::uint64_t> col_words;   // noisy: one position's column bits
+  Scratch<double> thresholds;        // k·cols block_thresholds
+  Scratch<std::uint64_t> col_words;  // noisy: one position's column bits
 
   /// Binds every scratch buffer to `plan`'s exact bounds: one arena
   /// allocation, spans carved out, vectors reserved. Defined in

@@ -20,15 +20,70 @@ bool dac_tile_fits(const MappedLayer& m) {
          m.packed.dac_exact;
 }
 
-/// True when a packed hidden stage fits the row-gather kernel (kRow16Cmp):
-/// binarized, at most kRowMaxCols columns and kRowMaxBlocks blocks, row
-/// indices within 16 bits, and an int16 row table (rows_ok). Every other
-/// packed stage runs the generic bit-plane kernel.
+/// True when a packed hidden stage fits the row-scatter kernel (kRow16Cmp):
+/// binarized, at most kRowMaxCols columns and kRowMaxBlocks blocks, and an
+/// int16 row table (rows_ok). Every other packed stage runs the generic
+/// bit-plane kernel.
 bool row_kernel_fits(const MappedLayer& m) {
-  const PackedStage& ps = m.packed;
   return m.binarize && m.geom.cols <= kRowMaxCols &&
-         m.block_count <= kRowMaxBlocks && ps.words * 64 <= 65536 &&
-         ps.rows_ok;
+         m.block_count <= kRowMaxBlocks && m.packed.rows_ok;
+}
+
+/// kRow16Cmp's int16 lanes per (position, block): the narrowest of 8, 16,
+/// 32 and 64 that holds every column.
+int scatter_lanes(int cols) {
+  int lanes = 8;
+  while (lanes < cols) lanes *= 2;
+  return lanes;
+}
+
+/// Output rows per kRow16Cmp band: as many as keep the band's accumulators
+/// within kScatterBandBytes, at least one.
+int scatter_band_rows(const MappedLayer& m) {
+  const std::size_t row_bytes = static_cast<std::size_t>(m.geom.out_w) *
+                                static_cast<std::size_t>(m.block_count) *
+                                scatter_lanes(m.geom.cols) *
+                                sizeof(std::int16_t);
+  return static_cast<int>(std::clamp<std::size_t>(
+      kScatterBandBytes / row_bytes, 1,
+      static_cast<std::size_t>(m.geom.out_h)));
+}
+
+/// The target map of a kRow16Cmp stage (see ScatterMap).
+ScatterMap compile_scatter(const MappedLayer& m) {
+  const quant::StageGeometry& g = m.geom;
+  ScatterMap map;
+  map.lanes = scatter_lanes(g.cols);
+  map.band_rows = scatter_band_rows(m);
+  const bool is_conv = g.kind == quant::StageSpec::Kind::Conv;
+  // An FC stage is one pixel whose channels are all the rows.
+  const int kernel = is_conv ? g.kernel : 1;
+  const int in_w = is_conv ? g.in_w : 1;
+  const int in_ch = is_conv ? g.in_ch : g.rows;
+  const int per_pos = m.block_count * map.lanes;
+  const auto stride = static_cast<std::int32_t>(m.packed.cstride);
+  for (int y0 = 0; y0 < g.out_h; y0 += map.band_rows) {
+    const int y1 = std::min(g.out_h, y0 + map.band_rows);
+    map.band_first.push_back(map.first.size());
+    for (int iy = y0; iy < y1 + kernel - 1; ++iy)
+      for (int ix = 0; ix < in_w; ++ix)
+        for (int ch = 0; ch < in_ch; ++ch) {
+          map.first.push_back(static_cast<std::uint32_t>(map.taps.size()));
+          for (int di = std::max(0, iy - (y1 - 1));
+               di <= std::min(kernel - 1, iy - y0); ++di)
+            for (int dj = std::max(0, ix - (g.out_w - 1));
+                 dj <= std::min(kernel - 1, ix); ++dj) {
+              const int r = (di * kernel + dj) * in_ch + ch;
+              const int pos = (iy - di - y0) * g.out_w + (ix - dj);
+              map.taps.push_back(
+                  {pos * per_pos +
+                       m.row_to_block[static_cast<std::size_t>(r)] * map.lanes,
+                   r * stride});
+            }
+        }
+    map.first.push_back(static_cast<std::uint32_t>(map.taps.size()));
+  }
+  return map;
 }
 
 /// Folds stage `m`'s scratch needs into `sp` — bounds for BOTH engines of
@@ -64,11 +119,14 @@ void bound_stage(const MappedLayer& m, int stage, bool noisy,
       words_for(static_cast<std::size_t>(g.rows)));
   sp.window = std::max(sp.window, ps_words);
   if (row_kernel_fits(m)) {
-    std::size_t span = 0;
-    for (const int s : ps.block_span)
-      span = std::max(span, static_cast<std::size_t>(s));
-    sp.row_idx = std::max(sp.row_idx, k * (span * 64 + kRowListSlack));
-    sp.row_ref = std::max(sp.row_ref, k * 64);
+    // One band's accumulators and (dynamic thresholds) active counts; the
+    // references, floored or (noisy) a band's lower and upper ends.
+    const std::size_t band = static_cast<std::size_t>(scatter_band_rows(m)) *
+                             static_cast<std::size_t>(g.out_w) * k;
+    sp.row_acc = std::max(
+        sp.row_acc, band * static_cast<std::size_t>(scatter_lanes(g.cols)));
+    sp.row_cnt = std::max(sp.row_cnt, band);
+    sp.row_ref = std::max(sp.row_ref, 2 * k * kRowMaxCols);
   }
 
   // Stage-0 DAC column tile: the DAC levels, the image as doubles plus the
@@ -93,10 +151,8 @@ void bound_stage(const MappedLayer& m, int stage, bool noisy,
   // Decide thresholds of the packed hidden kernels, and the lazy noisy
   // decide's scratch (core/lazy_decide.hpp).
   if (m.binarize) sp.thresholds = std::max(sp.thresholds, k * cols);
-  if (noisy && m.binarize) {
-    sp.open_reads = std::max(sp.open_reads, k);
+  if (noisy && m.binarize)
     sp.col_words = std::max(sp.col_words, words_for(cols));
-  }
 }
 
 StageEngine select_engine(const MappedLayer& m, int stage, bool packed_eval) {
@@ -135,10 +191,10 @@ void ScratchPlan::merge(const ScratchPlan& o) {
   open_sums = std::max(open_sums, o.open_sums);
   col_cmp = std::max(col_cmp, o.col_cmp);
   col_pool = std::max(col_pool, o.col_pool);
-  row_idx = std::max(row_idx, o.row_idx);
+  row_acc = std::max(row_acc, o.row_acc);
+  row_cnt = std::max(row_cnt, o.row_cnt);
   row_ref = std::max(row_ref, o.row_ref);
   thresholds = std::max(thresholds, o.thresholds);
-  open_reads = std::max(open_reads, o.open_reads);
   col_words = std::max(col_words, o.col_words);
   scores = std::max(scores, o.scores);
   bitmap_bytes = std::max(bitmap_bytes, o.bitmap_bytes);
@@ -153,9 +209,9 @@ bool ScratchPlan::covers(const ScratchPlan& o) const {
          pos_bits >= o.pos_bits && tile_w >= o.tile_w &&
          col_open >= o.col_open && open_sums >= o.open_sums &&
          col_cmp >= o.col_cmp &&
-         col_pool >= o.col_pool && row_idx >= o.row_idx &&
-         row_ref >= o.row_ref && thresholds >= o.thresholds &&
-         open_reads >= o.open_reads && col_words >= o.col_words &&
+         col_pool >= o.col_pool && row_acc >= o.row_acc &&
+         row_cnt >= o.row_cnt && row_ref >= o.row_ref &&
+         thresholds >= o.thresholds && col_words >= o.col_words &&
          scores >= o.scores && bitmap_bytes >= o.bitmap_bytes &&
          packed_words >= o.packed_words;
 }
@@ -171,10 +227,10 @@ void ScratchPlan::finalize() {
                 span_bytes<double>(open_sums) +
                 span_bytes<std::uint64_t>(col_cmp) +
                 span_bytes<std::uint64_t>(col_pool) +
-                span_bytes<std::uint16_t>(row_idx) +
+                span_bytes<std::int16_t>(row_acc) +
+                span_bytes<std::int32_t>(row_cnt) +
                 span_bytes<std::int16_t>(row_ref) +
                 span_bytes<double>(thresholds) +
-                span_bytes<std::uint64_t>(open_reads) +
                 span_bytes<std::uint64_t>(col_words);
 }
 
@@ -224,8 +280,11 @@ CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
                         : ActForm::kBytes;
     }
     live = op.out_form;
-    if (op.engine == StageEngine::kPackedBits)
+    if (op.engine == StageEngine::kPackedBits) {
       op.packed_kernel = select_packed_kernel(m);
+      if (op.packed_kernel == PackedKernel::kRow16Cmp)
+        op.scatter = compile_scatter(m);
+    }
     if (op.engine == StageEngine::kDacDense)
       op.dac_kernel = DacKernel::kDenseTranspose;
     // Row billing applies to the SEI hidden/classifier stages only —
@@ -260,10 +319,10 @@ void EvalContext::bind(const ScratchPlan& plan) {
   open_sums.bind(arena_, plan.open_sums);
   col_cmp.bind(arena_, plan.col_cmp);
   col_pool.bind(arena_, plan.col_pool);
-  row_idx.bind(arena_, plan.row_idx);
+  row_acc.bind(arena_, plan.row_acc);
+  row_cnt.bind(arena_, plan.row_cnt);
   row_ref.bind(arena_, plan.row_ref);
   thresholds.bind(arena_, plan.thresholds);
-  open_reads.bind(arena_, plan.open_reads);
   col_words.bind(arena_, plan.col_words);
   // Swap-rotated buffers: every one of the trio can hold any stage's
   // largest map, so all reserve the shared bound.

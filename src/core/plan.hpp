@@ -8,9 +8,9 @@
 // remap, fault repair, or checkpoint restore — into a CompiledPlan:
 //
 //  * a flat array of StageOps with the engine AND the packed sub-kernel
-//    resolved per layer geometry (the row-gather compare kernel vs
-//    generic); stage 0 runs the DAC column tile where it applies and the
-//    scalar reference everywhere else,
+//    resolved per layer geometry (the row-scatter compare kernel, with its
+//    target map, vs generic); stage 0 runs the DAC column tile where it
+//    applies and the scalar reference everywhere else,
 //  * explicit activation-form converts (bytes ↔ packed words) inserted at
 //    the stage boundaries that need them,
 //  * per-stage energy prices baked in from the attached meter,
@@ -55,18 +55,43 @@ enum class ActForm : std::uint8_t {
 enum class PackedKernel : std::uint8_t {
   kNone,      // op does not run the packed engine
   kBatch8,    // retired
-  kRow16Cmp,  // row-gather in int16 lanes, compare + vote in registers;
-              // binarized rows_ok stages of ≤ 64 columns, noisy or not
+  kRow16Cmp,  // input-stationary row scatter in int16 lanes, compare + vote
+              // in registers; binarized rows_ok stages of ≤ 64 columns,
+              // noisy or not
   kGeneric,   // per-position bit-plane / row-gather accumulate: the
               // classifier and every stage kRow16Cmp does not cover
 };
 
-/// kRow16Cmp limits: a position's block votes count in int8 lanes, and
-/// each block's active-row list carries kRowListSlack entries of headroom
-/// for the branch-free extraction's full-vector stores.
+/// kRow16Cmp limits: a position's block votes count in int8 lanes.
 inline constexpr int kRowMaxCols = 64;
 inline constexpr int kRowMaxBlocks = 64;
-inline constexpr std::size_t kRowListSlack = 32;
+
+/// Accumulator budget of one kRow16Cmp band: the output rows of a stage
+/// whose accumulators would outgrow it are processed in bands that fit.
+inline constexpr std::size_t kScatterBandBytes = 32 * 1024;
+
+/// kRow16Cmp's target map (docs/kernels.md §5), compiled next to the row
+/// table: for every input bit, the (block, position) accumulators it feeds
+/// and the table row it adds there. Output rows are processed in bands;
+/// a band's accumulators are int16, laid out [position][block][lanes]
+/// from the band's first position. An input bit at pixel (iy, ix),
+/// channel ch, drives row r = (di·kernel + dj)·in_ch + ch of position
+/// (iy − di, ix − dj) for every in-range tap (di, dj); a binarized FC
+/// stage is the one-position case, one pixel carrying every row.
+struct ScatterMap {
+  struct Tap {
+    std::int32_t acc;  // accumulator offset in the band, int16 units
+    std::int32_t row;  // table row offset, int16 units
+  };
+  int lanes = 0;      // int16 lanes per (position, block): 8, 16, 32 or 64
+  int band_rows = 0;  // output rows per accumulator band
+  // Band b reads the input bits of its output rows' windows: whole input
+  // rows [y0, y1 + kernel − 1), bit_lo(b) onward. Its bit i's taps are
+  // taps[first[band_first[b] + i] .. first[band_first[b] + i + 1]).
+  std::vector<std::size_t> band_first;
+  std::vector<std::uint32_t> first;
+  std::vector<Tap> taps;
+};
 
 /// Stage-0 DAC sub-kernel. Every kDacDense op runs kDenseTranspose; the
 /// last two enumerators name retired kernels and stay only because the
@@ -97,6 +122,7 @@ struct StageOp {
   bool pool_after = false;    // OR-pool fused into the stage's emit
   PackedKernel packed_kernel = PackedKernel::kNone;
   DacKernel dac_kernel = DacKernel::kNone;
+  ScatterMap scatter;  // kRow16Cmp ops only
 
   // Geometry snapshot (diagnostics, benches, docs).
   int rows = 0;
@@ -138,10 +164,10 @@ struct ScratchPlan {
   std::size_t col_open = 0;   // read-noise networks only
   std::size_t open_sums = 0;  // read-noise networks only
   std::size_t col_pool = 0;
-  std::size_t row_idx = 0;
+  std::size_t row_acc = 0;
+  std::size_t row_cnt = 0;
   std::size_t row_ref = 0;
   std::size_t thresholds = 0;
-  std::size_t open_reads = 0;  // read-noise networks only
   std::size_t col_words = 0;   // read-noise networks only
 
   std::size_t scores = 0;        // reserve on ctx.scores (floats)

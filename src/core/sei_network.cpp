@@ -13,7 +13,7 @@
 #include "exec/thread_pool.hpp"
 
 // The packed kernels decide in registers: the stage-0 tile compares its
-// double accumulators, the row-gather kernel its integer ones against
+// double accumulators, the row-scatter kernel its integer ones against
 // floored references, with the same bits as decide_position. The scalar
 // decide_position stays the reference; under read noise the packed engines
 // band the reads and sample only the open ones (core/lazy_decide.hpp). The
@@ -43,6 +43,23 @@ void record_activity(int rows, const std::uint64_t* window,
     act.rows_charged += pc;
     if (pc == 0) ++act.words_skipped;
   }
+}
+
+/// Classifier column `c`'s merged current: its k block reads (read (c, b)
+/// is `first_read + c·k + b`) summed in block order. Out of line, so the
+/// eager and the lazy classifier merge evaluate the very same code.
+[[gnu::noinline]] double merged_reads(const ReadNoise& noise,
+                                      const double* block_sums, int cols,
+                                      int k, int c, std::uint64_t first_read) {
+  double s = 0.0;
+  for (int b = 0; b < k; ++b) {
+    const double raw = block_sums[static_cast<std::size_t>(b) * cols + c];
+    s += noise.sigma > 0.0
+             ? noise.read(raw, first_read + static_cast<std::uint64_t>(c) * k +
+                                   static_cast<std::uint64_t>(b))
+             : raw;
+  }
+  return s;
 }
 
 }  // namespace
@@ -293,17 +310,12 @@ void SeiNetwork::merge_classifier(const MappedLayer& m,
                                   std::uint64_t first_read) const {
   // Classifier: block currents merge exactly (WTA readout).
   const int cols = m.geom.cols;
-  const int k = m.block_count;
-  std::uint64_t read = first_read;
-  for (int c = 0; c < cols; ++c) {
-    double s = 0.0;
-    for (int b = 0; b < k; ++b, ++read)
-      s += readout(ctx.block_sums[static_cast<std::size_t>(b) * cols + c],
-                   ctx.noise, read);
+  for (int c = 0; c < cols; ++c)
     scores[static_cast<std::size_t>(c)] +=
-        static_cast<float>(s * m.weight_scale) +
+        static_cast<float>(merged_reads(ctx.noise, ctx.block_sums.data(),
+                                        cols, m.block_count, c, first_read) *
+                           m.weight_scale) +
         m.col_bias[static_cast<std::size_t>(c)];
-  }
 }
 
 namespace {
@@ -546,277 +558,411 @@ constexpr std::array<std::array<Conv0TileFn, kConv0MaxCols>, 2> kConv0Tiles{
     conv0_tiles<true>(std::make_index_sequence<kConv0MaxCols>{})};
 
 // ---------------------------------------------------------------------------
-// kRow16Cmp: the row-gather hidden-stage kernel (docs/kernels.md §5).
+// kRow16Cmp: the input-stationary hidden-stage kernel (docs/kernels.md §5).
 // ---------------------------------------------------------------------------
 
-/// Appends the indices of `bits`' set bits, plus `base`, at `out` in
-/// ascending order and returns the new end. Branch-free: VPCOMPRESSW where
-/// VBMI2 is built, a byte → indices table elsewhere. Writes up to
-/// kRowListSlack entries past the returned end.
-#ifdef SEI_CORE_VBMI2
-inline std::uint16_t* append_set_bits(std::uint64_t bits, unsigned base,
-                                      std::uint16_t* out) {
-  static constexpr std::array<std::uint16_t, 32> kIota = [] {
-    std::array<std::uint16_t, 32> a{};
-    for (int i = 0; i < 32; ++i) a[static_cast<std::size_t>(i)] =
-        static_cast<std::uint16_t>(i);
-    return a;
-  }();
-  const __m512i lo = _mm512_add_epi16(
-      _mm512_loadu_si512(kIota.data()),
-      _mm512_set1_epi16(static_cast<short>(base)));
-  const __m512i hi = _mm512_add_epi16(lo, _mm512_set1_epi16(32));
-  const auto m0 = static_cast<std::uint32_t>(bits);
-  const auto m1 = static_cast<std::uint32_t>(bits >> 32);
-  _mm512_storeu_si512(out, _mm512_maskz_compress_epi16(m0, lo));
-  out += std::popcount(m0);
-  _mm512_storeu_si512(out, _mm512_maskz_compress_epi16(m1, hi));
-  return out + std::popcount(m1);
-}
-#else
-struct BitIndexTable {
-  std::uint16_t idx[256][8] = {};  // byte → its set bits, ascending
-  constexpr BitIndexTable() {
-    for (int v = 0; v < 256; ++v)
-      for (int i = 0, n = 0; i < 8; ++i)
-        if ((v >> i) & 1) idx[v][n++] = static_cast<std::uint16_t>(i);
-  }
-};
-constexpr BitIndexTable kBitIndex{};
+constexpr double kInt16Min = std::numeric_limits<std::int16_t>::min();
+constexpr double kInt16Max = std::numeric_limits<std::int16_t>::max();
 
-inline std::uint16_t* append_set_bits(std::uint64_t bits, unsigned base,
-                                      std::uint16_t* out) {
-  for (int j = 0; j < 8; ++j, bits >>= 8, base += 8) {
-    const auto byte = static_cast<unsigned>(bits & 0xFFu);
-    const std::uint16_t* e = kBitIndex.idx[byte];
-    for (int i = 0; i < 8; ++i)
-      out[i] = static_cast<std::uint16_t>(e[i] + base);
-    out += std::popcount(byte);
-  }
-  return out;
-}
-#endif
-
-/// 32 int16 lanes: one row-table vector, in a register on AVX-512 builds
-/// and split into the target's registers elsewhere.
-using Lane16 = std::int16_t __attribute__((vector_size(64)));
-
-/// The int16 form of a decide threshold `t`: for an integer sum,
+/// The int16 form of decide thresholds `t[0..n)`: for an integer sum,
 /// sum > t ⟺ sum > ⌊t⌋, and clamping ⌊t⌋ to int16 keeps that exact
 /// because every block sum fits int16 (the row table's Σ|w| bound). A NaN
-/// threshold never fires, as `sum > NaN` never does.
-std::int16_t floor_ref(double t) {
-  constexpr double lo = std::numeric_limits<std::int16_t>::min();
-  constexpr double hi = std::numeric_limits<std::int16_t>::max();
-  if (std::isnan(t)) return std::numeric_limits<std::int16_t>::max();
-  return static_cast<std::int16_t>(std::clamp(std::floor(t), lo, hi));
+/// threshold never fires, as `sum > NaN` never does. Branch-free, so the
+/// loop vectorizes.
+void floor_refs(const double* t, int n, std::int16_t* ref) {
+  for (int c = 0; c < n; ++c) {
+    double f = std::floor(t[c]);
+    f = f < kInt16Min ? kInt16Min : f;
+    f = f > kInt16Max ? kInt16Max : f;
+    ref[c] = static_cast<std::int16_t>(t[c] == t[c] ? f : kInt16Max);
+  }
 }
 
-/// What row_gather_stage needs beyond the geometry, resolved per call.
-struct RowGather {
-  const MappedLayer* m;
-  const std::int16_t* table;  // [row][cstride] integer weights, zero tail
-  std::int16_t* iref;         // k × NV·32 floored references
-  std::uint16_t* lists;       // k × list_stride active-row indices
-  std::size_t list_stride;
+/// Eight doubles (and their int64 twins), for the band's vector loop.
+using Double8 = double __attribute__((vector_size(64)));
+using Int64x8 = std::int64_t __attribute__((vector_size(64)));
+
+/// ⌊x⌋ lane by lane, clamped to a little past the int16 range; NaN lanes
+/// clamp low. (Vectors pass by reference: by value, their ABI depends on
+/// the target.)
+inline void floor_clamped(Double8& x) {
+  x = x >= kInt16Min - 2 ? x : kInt16Min - 2;
+  x = x <= kInt16Max + 2 ? x : kInt16Max + 2;
+  const Double8 tr =
+      __builtin_convertvector(__builtin_convertvector(x, Int64x8), Double8);
+  x = x < tr ? tr - 1.0 : tr;
+}
+
+/// The lazy decide's band of reads against thresholds `t[0..n)`, as int16
+/// bounds on the integer block sum s: every s ≤ lo[c] reads at or below
+/// t[c], every s > hi[c] above it, for any reachable draw; (lo, hi] is
+/// open. The band's own predicates decide each bound, tried at the three
+/// integers around the estimate t / f; a bound none of them verifies
+/// claims nothing. Both predicates are monotone in s while f_lo > 0;
+/// otherwise nothing settles. Eight thresholds per step, without branches.
+void band_refs(const double* t, int n, double f_lo, double f_hi,
+               std::int16_t* lo, std::int16_t* hi) {
+  if (!(f_lo > 0.0)) {
+    std::fill(lo, lo + n, static_cast<std::int16_t>(kInt16Min));
+    std::fill(hi, hi + n, static_cast<std::int16_t>(kInt16Max));
+    return;
+  }
+  const double inv_lo = 1.0 / f_lo, inv_hi = 1.0 / f_hi;
+  for (int c0 = 0; c0 < n; c0 += 8) {
+    Double8 tc;
+    for (int i = 0; i < 8; ++i) tc[i] = c0 + i < n ? t[c0 + i] : 0.0;
+    // The read's bracket [min(s·f_lo, s·f_hi), max(..)] lies at or below
+    // t (lo: the largest such candidate s) or above it (hi: one below the
+    // smallest such s). NaN thresholds verify nothing.
+    const Int64x8 pos = tc >= 0.0;
+    Double8 d = tc * (pos ? inv_hi : inv_lo);
+    floor_clamped(d);
+    Double8 l = Double8{} + kInt16Min;
+    for (int j = -1; j <= 1; ++j) {
+      const Double8 s = d + j, a = s * f_lo, b = s * f_hi;
+      l = (a > b ? a : b) <= tc ? s : l;
+    }
+    Double8 u = tc * (pos ? inv_lo : inv_hi);
+    floor_clamped(u);
+    Double8 h = Double8{} + kInt16Max;
+    for (int j = 1; j >= -1; --j) {
+      const Double8 s = u + j, a = s * f_lo, b = s * f_hi;
+      h = (a < b ? a : b) > tc ? s - 1 : h;
+    }
+    for (int i = 0; i < 8 && c0 + i < n; ++i) {
+      lo[c0 + i] = static_cast<std::int16_t>(
+          std::clamp(l[i], kInt16Min, kInt16Max));
+      hi[c0 + i] = static_cast<std::int16_t>(
+          std::clamp(h[i], kInt16Min, kInt16Max));
+    }
+  }
+}
+
+/// Per-column counts of block votes in int8 lanes, 64 columns at once.
+struct VoteLanes {
+#ifdef SEI_CORE_AVX512
+  __m512i v = _mm512_setzero_si512();
+  void add(std::uint64_t mask) {
+    v = _mm512_sub_epi8(v, _mm512_movm_epi8(mask));
+  }
+  std::uint64_t at_least(int n) const {
+    return _mm512_cmpge_epi8_mask(v, _mm512_set1_epi8(static_cast<char>(n)));
+  }
+#else
+  std::uint8_t v[64] = {};
+  void add(std::uint64_t mask) {
+    for (int c = 0; c < 64; ++c)
+      v[c] = static_cast<std::uint8_t>(v[c] + ((mask >> c) & 1u));
+  }
+  std::uint64_t at_least(int n) const {
+    std::uint64_t m = 0;
+    for (int c = 0; c < 64; ++c)
+      m |= static_cast<std::uint64_t>(v[c] >= n) << c;
+    return m;
+  }
+#endif
 };
 
-/// The hidden-stage kernel: per position, every block's active rows are
-/// listed without branches, their weight vectors summed in int16 lanes (one
-/// accumulator set per block, two chains), and each block compared against
-/// ⌊block reference⌋ in registers. k > 1 votes in int8 lanes. Under read
-/// noise the sums widen to doubles for the lazy decide instead, which
-/// samples only the open reads. Returns the rows driven.
-template <int NV>
-std::int64_t row_gather_stage(const RowGather& rg,
-                              const quant::PackedBits& in, EvalContext& ctx,
-                              BitWriter& writer) {
-  using T = std::int16_t;
-  using V = Lane16;
-  constexpr int L = 32;
-  constexpr int W = NV * L;  // table stride
-  const MappedLayer& m = *rg.m;
+/// A vector of N int16 lanes (N = 8, 16, 32).
+template <int N>
+struct Int16Vec;
+template <>
+struct Int16Vec<8> {
+  using type = std::int16_t __attribute__((vector_size(16)));
+};
+template <>
+struct Int16Vec<16> {
+  using type = std::int16_t __attribute__((vector_size(32)));
+};
+template <>
+struct Int16Vec<32> {
+  using type = std::int16_t __attribute__((vector_size(64)));
+};
+
+/// L int16 lanes per (position, block), held in NV vectors of LV lanes:
+/// one register on AVX-512 builds (two for L = 64), split into the
+/// target's registers elsewhere.
+template <int L>
+struct Lanes {
+  static constexpr int LV = L < 32 ? L : 32;
+  static constexpr int NV = L / LV;
+  using V = typename Int16Vec<LV>::type;
+
+  /// acc[0..L) += row[0..L).
+  static void add(std::int16_t* acc, const std::int16_t* row) {
+    for (int v = 0; v < NV; ++v) {
+      V a, x;
+      std::memcpy(&a, acc + v * LV, sizeof a);
+      std::memcpy(&x, row + v * LV, sizeof x);
+      a += x;
+      std::memcpy(acc + v * LV, &a, sizeof a);
+    }
+  }
+
+  /// Bit l set where s[l] > ref[l].
+  static std::uint64_t gt(const std::int16_t* s, const std::int16_t* ref) {
+    std::uint64_t mask = 0;
+    for (int v = 0; v < NV; ++v) {
+      V a, r;
+      std::memcpy(&a, s + v * LV, sizeof a);
+      std::memcpy(&r, ref + v * LV, sizeof r);
+#ifdef SEI_CORE_AVX512
+      std::uint64_t mv;
+      if constexpr (LV == 8)
+        mv = _mm_cmpgt_epi16_mask(reinterpret_cast<const __m128i&>(a),
+                                  reinterpret_cast<const __m128i&>(r));
+      else if constexpr (LV == 16)
+        mv = _mm256_cmpgt_epi16_mask(reinterpret_cast<const __m256i&>(a),
+                                     reinterpret_cast<const __m256i&>(r));
+      else
+        mv = _mm512_cmpgt_epi16_mask(reinterpret_cast<const __m512i&>(a),
+                                     reinterpret_cast<const __m512i&>(r));
+#else
+      const auto g = a > r;  // lanes of −1 / 0
+      std::uint64_t mv = 0;
+      for (int l = 0; l < LV; ++l)
+        mv |= static_cast<std::uint64_t>(g[l] & 1) << l;
+#endif
+      mask |= mv << (v * LV);
+    }
+    return mask;
+  }
+};
+
+/// Scatters the active input bits of band `band` (output rows [y0, y1))
+/// into its accumulators (`acc`, pre-zeroed): each set bit adds its weight
+/// row to every (block, position) of its target-map entry; kCount also
+/// counts each (position, block)'s active rows into `cnt`. Returns the
+/// taps walked — the band's rows driven.
+template <int L, bool kCount>
+std::int64_t scatter_band(const MappedLayer& m, const ScatterMap& map,
+                          int band, int y0, int y1, const std::uint64_t* in,
+                          std::int16_t* acc, std::int32_t* cnt) {
   const quant::StageGeometry& g = m.geom;
-  const PackedStage& ps = m.packed;
-  const int cols = g.cols, k = m.block_count, words = ps.words;
   const bool is_conv = g.kind == quant::StageSpec::Kind::Conv;
-  const bool noisy = ctx.noise.sigma > 0.0;
+  // The band's window rows, as a range of input bits.
+  const std::size_t row_bits =
+      is_conv ? static_cast<std::size_t>(g.in_w) * g.in_ch : g.rows;
+  const std::size_t lo = static_cast<std::size_t>(y0) * row_bits;
+  const std::size_t hi =
+      static_cast<std::size_t>(is_conv ? y1 + g.kernel - 1 : 1) * row_bits;
+  const std::uint32_t* first =
+      map.first.data() + map.band_first[static_cast<std::size_t>(band)];
+  const ScatterMap::Tap* taps = map.taps.data();
+  const std::int16_t* table = m.packed.row_w.data();
+  std::int64_t walked = 0;
+  for (std::size_t w = lo >> 6; w < (hi + 63) >> 6; ++w) {
+    std::uint64_t bits = in[w];
+    if (w == lo >> 6) bits &= ~std::uint64_t{0} << (lo & 63);
+    if (w == (hi - 1) >> 6 && (hi & 63) != 0)
+      bits &= (std::uint64_t{1} << (hi & 63)) - 1u;
+    for (; bits != 0; bits &= bits - 1) {
+      const std::size_t i = w * 64 + std::countr_zero(bits) - lo;
+      const ScatterMap::Tap* e = taps + first[i];
+      const ScatterMap::Tap* end = taps + first[i + 1];
+      walked += end - e;
+      for (; e != end; ++e) {
+        Lanes<L>::add(acc + e->acc, table + e->row);
+        if constexpr (kCount) ++cnt[e->acc / L];
+      }
+    }
+  }
+  return walked;
+}
+
+/// The hidden-stage kernel, input-stationary: per band of output rows, the
+/// active input bits scatter their int16 weight rows into every (block,
+/// position) they reach, then one pass over the band's positions compares
+/// each block against ⌊block reference⌋ and votes in int8 lanes. Under
+/// read noise the pass bands the sums against int16 bounds instead and
+/// widens only the unsettled columns for the lazy decide. Returns the rows
+/// driven.
+template <int L>
+std::int64_t row_scatter_stage(const MappedLayer& m, const ScatterMap& map,
+                               const quant::PackedBits& in, EvalContext& ctx,
+                               BitWriter& writer) {
+  using Ln = Lanes<L>;
+  const quant::StageGeometry& g = m.geom;
+  const int cols = g.cols, k = m.block_count;
+  const bool is_conv = g.kind == quant::StageSpec::Kind::Conv;
+  const ReadNoise& noise = ctx.noise;
+  const bool noisy = noise.sigma > 0.0;
   const double beta_scale = static_cast<double>(m.dyn_beta) * m.mean_abs_eff;
   // β = 0 (or one block) leaves every reference position-invariant.
   const bool dynamic = k > 1 && beta_scale != 0.0;
+  const int vote = k == 1 ? 1 : std::clamp(m.vote_threshold, 0, k + 1);
   const std::uint64_t colmask =
       cols == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << cols) - 1u;
-  const std::uint64_t* bm = ps.block_masks.data();
+  const std::size_t per_pos = static_cast<std::size_t>(k) * L;
   int* n_active = ctx.n_active.data();
   double* t = ctx.thresholds.data();
-  EvalContext::StageActivity* act = ctx.cur_activity;
-
-  // decide_position's thresholds; noise-free, floored into int16 lanes.
-  // Lanes past `cols` never fire.
+  // Noise-free: ⌊reference⌋ per (block, lane). Noisy: the band's lower
+  // ends, then its upper ends. Lanes past `cols` never fire.
+  std::int16_t* ref = ctx.row_ref.data();
+  const double f_lo = 1.0 + noise.sigma * -kGaussianBound;
+  const double f_hi = 1.0 + noise.sigma * kGaussianBound;
   const auto fill_refs = [&] {
     block_thresholds(m, n_active, t);
-    if (noisy) return;
-    for (int b = 0; b < k; ++b)
-      for (int c = 0; c < W; ++c)
-        rg.iref[static_cast<std::size_t>(b) * W + c] =
-            c < cols ? floor_ref(t[static_cast<std::size_t>(b) * cols + c])
-                     : std::numeric_limits<T>::max();
+    constexpr std::int16_t kNever = std::numeric_limits<std::int16_t>::max();
+    for (int b = 0; b < k; ++b) {
+      const double* tb = t + static_cast<std::size_t>(b) * cols;
+      std::int16_t* lo = ref + static_cast<std::size_t>(b) * L;
+      if (noisy) {
+        band_refs(tb, cols, f_lo, f_hi, lo, lo + per_pos);
+        std::fill(lo + per_pos + cols, lo + per_pos + L, kNever);
+      } else {
+        floor_refs(tb, cols, lo);
+      }
+      std::fill(lo + cols, lo + L, kNever);
+    }
   };
   if (!dynamic) {
     for (int b = 0; b < k; ++b) n_active[b] = 0;
     fill_refs();
   }
-#ifdef SEI_CORE_AVX512
-  const __m512i vote_v = _mm512_set1_epi8(
-      static_cast<char>(std::clamp(m.vote_threshold, 0, k + 1)));
-#endif
-  // Adds table row r to the NV accumulators at `a`.
-  const auto add_row = [&](V* a, std::size_t r) {
-    const T* row = rg.table + r * W;
-    for (int v = 0; v < NV; ++v) {
-      V x;
-      std::memcpy(&x, row + v * L, sizeof x);
-      a[v] += x;
-    }
-  };
+  EvalContext::StageActivity* act = ctx.cur_activity;
+  std::int16_t* acc = ctx.row_acc.data();
+  std::int32_t* cnt = ctx.row_cnt.data();
 
   std::int64_t rows_driven = 0;
-  const std::uint64_t* wptr = in.words.data();
-  for (int y = 0; y < g.out_h; ++y) {
-    for (int x = 0; x < g.out_w; ++x) {
-      if (is_conv) {
-        gather_window(g, words, in.words.data(), y, x, ctx.window.data());
-        wptr = ctx.window.data();
-      }
-      if (act) record_activity(g.rows, wptr, *act);
-      // Active rows per block: a one-word window is walked bit by bit
-      // below; wider windows list each block's rows first.
-      int total_active = 0;
-      for (int b = 0; b < k; ++b) {
-        if (words == 1) {
-          n_active[b] = std::popcount(wptr[0] & bm[b]);
-        } else {
-          std::uint16_t* const first = rg.lists + b * rg.list_stride;
-          std::uint16_t* end = first;
-          const std::uint64_t* bmb = bm + static_cast<std::size_t>(b) * words;
-          for (int w = 0; w < words; ++w)
-            end = append_set_bits(wptr[w] & bmb[w],
-                                  static_cast<unsigned>(w) * 64, end);
-          n_active[b] = static_cast<int>(end - first);
-        }
-        total_active += n_active[b];
-      }
-      rows_driven += total_active;
-      if (dynamic) fill_refs();
+  for (int band = 0, y0 = 0; y0 < g.out_h; ++band, y0 += map.band_rows) {
+    const int y1 = std::min(g.out_h, y0 + map.band_rows);
+    const std::size_t npos = static_cast<std::size_t>(y1 - y0) * g.out_w;
+    std::memset(acc, 0, npos * per_pos * sizeof *acc);
+    if (dynamic) {
+      std::fill(cnt, cnt + npos * k, 0);
+      rows_driven += scatter_band<L, true>(m, map, band, y0, y1,
+                                           in.words.data(), acc, cnt);
+    } else {
+      rows_driven += scatter_band<L, false>(m, map, band, y0, y1,
+                                            in.words.data(), acc, cnt);
+    }
 
-      const std::size_t pos = static_cast<std::size_t>(y) * g.out_w + x;
-      std::uint64_t bits = 0;
-#ifdef SEI_CORE_AVX512
-      __m512i votes = _mm512_setzero_si512();
-#else
-      std::uint8_t votes[64] = {};
-#endif
-      for (int b = 0; b < k; ++b) {
-        // Two accumulator chains, merged at the end.
-        V a0[NV] = {}, a1[NV] = {};
-        if (words == 1) {
-          for (std::uint64_t rows = wptr[0] & bm[b]; rows != 0;) {
-            add_row(a0, static_cast<std::size_t>(std::countr_zero(rows)));
-            rows &= rows - 1;
-            if (rows == 0) break;
-            add_row(a1, static_cast<std::size_t>(std::countr_zero(rows)));
-            rows &= rows - 1;
+    for (int y = y0; y < y1; ++y) {
+      for (int x = 0; x < g.out_w; ++x) {
+        const std::size_t p = static_cast<std::size_t>(y - y0) * g.out_w + x;
+        const std::int16_t* s = acc + p * per_pos;
+        if (act) {
+          const std::uint64_t* window = in.words.data();
+          if (is_conv) {
+            gather_window(g, m.packed.words, window, y, x, ctx.window.data());
+            window = ctx.window.data();
           }
-        } else {
-          const std::uint16_t* li = rg.lists + b * rg.list_stride;
-          const int n = n_active[b];
-          int i = 0;
-          for (; i + 1 < n; i += 2) {
-            add_row(a0, li[i]);
-            add_row(a1, li[i + 1]);
-          }
-          if (i < n) add_row(a0, li[i]);
+          record_activity(g.rows, window, *act);
         }
-        for (int v = 0; v < NV; ++v) a0[v] += a1[v];
-        if (noisy) {
-          // Widen for the band: every sum is an exact integer.
-          double* dst =
-              ctx.block_sums.data() + static_cast<std::size_t>(b) * cols;
-          alignas(64) T s[W];
-          std::memcpy(s, a0, sizeof s);
-          for (int c = 0; c < cols; ++c) dst[c] = static_cast<double>(s[c]);
+        if (dynamic) {
+          for (int b = 0; b < k; ++b) n_active[b] = cnt[p * k + b];
+          fill_refs();
+        }
+        std::uint64_t bits;
+        if (!noisy) {
+          if (k == 1) {
+            bits = Ln::gt(s, ref);
+          } else {
+            VoteLanes votes;
+            for (int b = 0; b < k; ++b)
+              votes.add(Ln::gt(s + b * L, ref + b * L));
+            bits = votes.at_least(vote);
+          }
+          writer.append(bits & colmask, cols);
           continue;
         }
-        std::uint64_t gt = 0;
-        const T* r = rg.iref + static_cast<std::size_t>(b) * W;
-        for (int v = 0; v < NV; ++v) {
-          V ref;
-          std::memcpy(&ref, r + v * L, sizeof ref);
-#ifdef SEI_CORE_AVX512
-          const auto acc_i = reinterpret_cast<const __m512i&>(a0[v]);
-          const auto ref_i = reinterpret_cast<const __m512i&>(ref);
-          const std::uint64_t mv = _mm512_cmpgt_epi16_mask(acc_i, ref_i);
-#else
-          const auto gtv = a0[v] > ref;  // lanes of −1 / 0
-          std::uint64_t mv = 0;
-          for (int l = 0; l < L; ++l)
-            mv |= static_cast<std::uint64_t>(gtv[l] & 1) << l;
-#endif
-          gt |= mv << (v * L);
-        }
+        // Band: certain votes (above the upper end) and possible ones
+        // (above the lower end); a column whose possible votes reach the
+        // vote but whose certain ones do not is unsettled.
+        std::uint64_t maybe;
         if (k == 1) {
-          bits = gt;
-          break;
+          bits = Ln::gt(s, ref + per_pos);
+          maybe = Ln::gt(s, ref);
+        } else {
+          VoteLanes yes, may;
+          for (int b = 0; b < k; ++b) {
+            yes.add(Ln::gt(s + b * L, ref + per_pos + b * L));
+            may.add(Ln::gt(s + b * L, ref + b * L));
+          }
+          bits = yes.at_least(vote);
+          maybe = may.at_least(vote);
         }
-#ifdef SEI_CORE_AVX512
-        votes = _mm512_sub_epi8(votes, _mm512_movm_epi8(gt));
-#else
-        for (int c = 0; c < 64; ++c)
-          votes[c] = static_cast<std::uint8_t>(votes[c] + ((gt >> c) & 1u));
-#endif
-      }
-      if (noisy) {
-        decide_position_lazy(m, ctx.noise, pos * cols * k,
-                             ctx.block_sums.data(), t, ctx.open_reads.data(),
-                             &bits);
+        bits &= colmask;
+        const std::uint64_t first_read =
+            (static_cast<std::uint64_t>(y) * g.out_w + x) * cols * k;
+        for (std::uint64_t open = maybe & colmask & ~bits; open != 0;
+             open &= open - 1) {
+          const int c = std::countr_zero(open);
+          // Widen the column for the lazy decide: its sums are exact.
+          for (int b = 0; b < k; ++b)
+            ctx.block_sums[static_cast<std::size_t>(b) * cols + c] =
+                s[static_cast<std::size_t>(b) * L + c];
+          if (decide_column_lazy(m, noise, first_read, c,
+                                 ctx.block_sums.data(), t))
+            bits |= std::uint64_t{1} << c;
+        }
         writer.append(bits, cols);
-        continue;
       }
-      if (k > 1) {
-#ifdef SEI_CORE_AVX512
-        bits = _mm512_cmpge_epi8_mask(votes, vote_v);
-#else
-        for (int c = 0; c < cols; ++c)
-          bits |= static_cast<std::uint64_t>(votes[c] >= m.vote_threshold)
-                  << c;
-#endif
-      }
-      writer.append(bits & colmask, cols);
     }
   }
   return rows_driven;
 }
 
-/// Runs row_gather_stage with one or two int16 vectors per row.
-std::int64_t run_row_gather(const MappedLayer& m, const quant::PackedBits& in,
-                            EvalContext& ctx, BitWriter& writer) {
-  const PackedStage& ps = m.packed;
-  const int k = m.block_count;
-  int span = 0;
-  for (int b = 0; b < k; ++b) span = std::max(span, ps.block_span[b]);
-  const std::size_t stride =
-      static_cast<std::size_t>(span) * 64 + kRowListSlack;
-  ctx.row_idx.resize(stride * static_cast<std::size_t>(k));
-  ctx.row_ref.resize(static_cast<std::size_t>(k) * 64);
-  const RowGather rg{&m, ps.row_w.data(), ctx.row_ref.data(),
-                     ctx.row_idx.data(), stride};
-  return m.geom.cols <= 32 ? row_gather_stage<1>(rg, in, ctx, writer)
-                           : row_gather_stage<2>(rg, in, ctx, writer);
+/// Runs row_scatter_stage at the op's lane width.
+std::int64_t run_row_scatter(const MappedLayer& m, const ScatterMap& map,
+                             const quant::PackedBits& in, EvalContext& ctx,
+                             BitWriter& writer) {
+  ctx.row_acc.resize(static_cast<std::size_t>(map.band_rows) * m.geom.out_w *
+                     m.block_count * map.lanes);
+  ctx.row_cnt.resize(static_cast<std::size_t>(map.band_rows) * m.geom.out_w *
+                     m.block_count);
+  ctx.row_ref.resize(2 * static_cast<std::size_t>(m.block_count) * map.lanes);
+  switch (map.lanes) {
+    case 8: return row_scatter_stage<8>(m, map, in, ctx, writer);
+    case 16: return row_scatter_stage<16>(m, map, in, ctx, writer);
+    case 32: return row_scatter_stage<32>(m, map, in, ctx, writer);
+    default: return row_scatter_stage<64>(m, map, in, ctx, writer);
+  }
+}
+
+/// Lazy twin of merge_classifier for a one-position classifier under read
+/// noise, for the argmax only (ctx.scores has no other reader). Each class
+/// score is banded first: its reads' brackets (see decide_position_lazy)
+/// summed in block order bound the eager sum, since rounded addition is
+/// monotone, and so do the scale and bias that follow. Only classes whose
+/// upper bound reaches the best lower bound can be the first maximum;
+/// they draw their reads and get the eager score. The others keep their
+/// lower bound, which stays below that maximum.
+void merge_classifier_lazy(const MappedLayer& m, const ReadNoise& noise,
+                           const double* block_sums, float* scores) {
+  const int cols = m.geom.cols, k = m.block_count;
+  const double f_lo = 1.0 + noise.sigma * -kGaussianBound;
+  const double f_hi = 1.0 + noise.sigma * kGaussianBound;
+  const auto score = [&](int c, double s) {
+    return static_cast<float>(s * m.weight_scale) +
+           m.col_bias[static_cast<std::size_t>(c)];
+  };
+  const auto bounds = [&](int c) {
+    double lo = 0.0, hi = 0.0;
+    for (int b = 0; b < k; ++b) {
+      const double raw = block_sums[static_cast<std::size_t>(b) * cols + c];
+      lo += std::min(raw * f_lo, raw * f_hi);
+      hi += std::max(raw * f_lo, raw * f_hi);
+    }
+    const float a = score(c, lo), z = score(c, hi);
+    return std::pair{std::min(a, z), std::max(a, z)};
+  };
+  float best_lo = -std::numeric_limits<float>::infinity();
+  for (int c = 0; c < cols; ++c) best_lo = std::max(best_lo, bounds(c).first);
+  for (int c = 0; c < cols; ++c) {
+    const auto [lo, hi] = bounds(c);
+    if (hi < best_lo) {
+      scores[c] = lo;
+      continue;
+    }
+    scores[c] = score(c, merged_reads(noise, block_sums, cols, k, c, 0));
+  }
 }
 
 }  // namespace
 
-void SeiNetwork::eval_stage_packed(const MappedLayer& m, PackedKernel kern,
+void SeiNetwork::eval_stage_packed(const StageOp& op, const MappedLayer& m,
                                    const quant::PackedBits& in,
                                    quant::PackedBits& bits_out,
                                    std::vector<float>& scores,
@@ -843,15 +989,13 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m, PackedKernel kern,
   const ReadNoise& noise = ctx.noise;
   const bool noisy = noise.sigma > 0.0;
   if (m.binarize) ctx.thresholds.resize(static_cast<std::size_t>(k) * cols);
-  if (noisy && m.binarize) {
-    ctx.open_reads.resize(static_cast<std::size_t>(k));
+  if (noisy && m.binarize)
     ctx.col_words.resize((static_cast<std::size_t>(cols) + 63) / 64);
-  }
   // Rows driven (the row-billing count) come from counts the kernels take
-  // anyway: Σ n_active per position.
+  // anyway: Σ n_active per position, or the taps the scatter walks.
   std::int64_t rows_driven = 0;
-  if (kern == PackedKernel::kRow16Cmp) {
-    rows_driven = run_row_gather(m, in, ctx, writer);
+  if (op.packed_kernel == PackedKernel::kRow16Cmp) {
+    rows_driven = run_row_scatter(m, op.scatter, in, ctx, writer);
   } else {
     for (int y = 0; y < g.out_h; ++y) {
       for (int x = 0; x < g.out_w; ++x) {
@@ -871,7 +1015,11 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m, PackedKernel kern,
         const std::uint64_t first_read =
             (static_cast<std::uint64_t>(y) * g.out_w + x) * cols * k;
         if (!m.binarize) {
-          merge_classifier(m, scores, ctx, first_read);
+          if (noisy && positions == 1)
+            merge_classifier_lazy(m, noise, ctx.block_sums.data(),
+                                  scores.data());
+          else
+            merge_classifier(m, scores, ctx, first_read);
           continue;
         }
         if (!noisy) {
@@ -882,8 +1030,7 @@ void SeiNetwork::eval_stage_packed(const MappedLayer& m, PackedKernel kern,
         }
         block_thresholds(m, ctx.n_active.data(), ctx.thresholds.data());
         decide_position_lazy(m, noise, first_read, ctx.block_sums.data(),
-                             ctx.thresholds.data(), ctx.open_reads.data(),
-                             ctx.col_words.data());
+                             ctx.thresholds.data(), ctx.col_words.data());
         for (int c0 = 0; c0 < cols; c0 += 64)
           writer.append(ctx.col_words[static_cast<std::size_t>(c0 / 64)],
                         std::min(64, cols - c0));
@@ -1158,7 +1305,7 @@ Result<int> SeiNetwork::run_plan(std::span<const float> image,
         if (!op.classifier) std::swap(ctx.bits, ctx.pooled_bits);
         break;
       case StageEngine::kPackedBits:
-        eval_stage_packed(m, op.packed_kernel, ctx.packed_bits,
+        eval_stage_packed(op, m, ctx.packed_bits,
                           ctx.packed_pooled, ctx.scores, ctx);
         if (!op.classifier) std::swap(ctx.packed_bits, ctx.packed_pooled);
         break;

@@ -172,10 +172,11 @@ class SeiNetwork {
                         EvalContext& ctx) const;
 
   /// Bit-packed engines (core/bitpack): `eval_stage_packed` is the hidden/
-  /// classifier stage on packed words, its sub-kernel resolved at
-  /// plan-compile time (core/plan.cpp); `eval_stage_dac` the stage-0 column
-  /// tile, which caches the DAC output once per image and convolves densely.
-  void eval_stage_packed(const MappedLayer& m, PackedKernel kern,
+  /// classifier stage on packed words, its sub-kernel (and the row
+  /// scatter's target map) resolved at plan-compile time (core/plan.cpp);
+  /// `eval_stage_dac` the stage-0 column tile, which caches the DAC output
+  /// once per image and convolves densely.
+  void eval_stage_packed(const StageOp& op, const MappedLayer& m,
                          const quant::PackedBits& in,
                          quant::PackedBits& bits_out,
                          std::vector<float>& scores, EvalContext& ctx) const;

@@ -668,8 +668,8 @@ TEST(LazyDecide, MatchesEagerPerReadLoop) {
             const std::size_t n = static_cast<std::size_t>(k) * cols;
             std::vector<double> t(n), sums(n);
             std::vector<std::uint8_t> want(cols);
-            std::vector<std::uint64_t> open(static_cast<std::size_t>(k)),
-                got((static_cast<std::size_t>(cols) + 63) / 64);
+            std::vector<std::uint64_t> got(
+                (static_cast<std::size_t>(cols) + 63) / 64);
             const core::ReadNoise noise{sigma, gen()};
             for (int pos = 0; pos < 4; ++pos) {
               const std::uint64_t first_read =
@@ -686,7 +686,7 @@ TEST(LazyDecide, MatchesEagerPerReadLoop) {
               eager_decide(m, noise, first_read, sums.data(), n_active.data(),
                            want.data(), gen);
               core::decide_position_lazy(m, noise, first_read, sums.data(),
-                                         t.data(), open.data(), got.data());
+                                         t.data(), got.data());
               for (int c = 0; c < cols; ++c)
                 ASSERT_EQ(
                     (got[static_cast<std::size_t>(c) / 64] >> (c % 64)) & 1u,
