@@ -139,99 +139,6 @@ void BM_UnpackBits(benchmark::State& state) {
 }
 BENCHMARK(BM_UnpackBits);
 
-// Network-1 conv2 block shape: 300 rows, 64 columns, 3 crossbar blocks.
-core::PackedStage make_bench_stage(int rows, int cols, int k,
-                                   std::vector<float>& eff,
-                                   std::vector<int>& row_to_block) {
-  Rng rng(11);
-  eff.resize(static_cast<std::size_t>(rows) * cols);
-  for (auto& v : eff)
-    v = static_cast<float>(static_cast<int>(rng.below(15)) - 7);
-  row_to_block.resize(rows);
-  for (int r = 0; r < rows; ++r) row_to_block[r] = r * k / rows;
-  return core::build_packed_stage(eff, rows, cols, row_to_block, k, 8);
-}
-
-// AND+popcount bit-plane accumulation vs the byte-path scalar loop it
-// replaces (`sums[c] += eff[r*cols+c]` over active rows). Items = one
-// (rows × cols) position evaluation.
-void BM_AccumulateScalar(benchmark::State& state) {
-  const int rows = 300, cols = 64, k = 3;
-  std::vector<float> eff;
-  std::vector<int> row_to_block;
-  (void)make_bench_stage(rows, cols, k, eff, row_to_block);
-  Rng rng(12);
-  std::vector<std::uint8_t> active(rows);
-  for (auto& a : active) a = rng.bernoulli(0.15) ? 1 : 0;
-  std::vector<double> sums(static_cast<std::size_t>(k) * cols);
-  std::vector<int> n_active(k);
-  for (auto _ : state) {
-    std::fill(sums.begin(), sums.end(), 0.0);
-    std::fill(n_active.begin(), n_active.end(), 0);
-    for (int r = 0; r < rows; ++r) {
-      if (!active[r]) continue;
-      const int b = row_to_block[r];
-      ++n_active[b];
-      double* dst = sums.data() + static_cast<std::size_t>(b) * cols;
-      const float* w = eff.data() + static_cast<std::size_t>(r) * cols;
-      for (int c = 0; c < cols; ++c) dst[c] += w[c];
-    }
-    benchmark::DoNotOptimize(sums.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AccumulateScalar);
-
-void BM_AccumulatePacked(benchmark::State& state) {
-  const int rows = 300, cols = 64, k = 3;
-  std::vector<float> eff;
-  std::vector<int> row_to_block;
-  const core::PackedStage ps = make_bench_stage(rows, cols, k, eff,
-                                                row_to_block);
-  if (!ps.valid) {
-    state.SkipWithError("packed stage invalid");
-    return;
-  }
-  Rng rng(12);
-  std::vector<std::uint64_t> window(ps.words, 0);
-  for (int r = 0; r < rows; ++r)
-    if (rng.bernoulli(0.15)) window[r >> 6] |= std::uint64_t{1} << (r & 63);
-  std::vector<double> sums(static_cast<std::size_t>(k) * cols);
-  std::vector<int> n_active(k);
-  for (auto _ : state) {
-    core::accumulate_position(ps, cols, k, window.data(), sums.data(),
-                              n_active.data());
-    benchmark::DoNotOptimize(sums.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AccumulatePacked);
-
-void BM_AccumulateRows(benchmark::State& state) {
-  const int rows = 300, cols = 64, k = 3;
-  std::vector<float> eff;
-  std::vector<int> row_to_block;
-  const core::PackedStage ps = make_bench_stage(rows, cols, k, eff,
-                                                row_to_block);
-  if (!ps.valid || !ps.rows_ok) {
-    state.SkipWithError("row-gather path unavailable");
-    return;
-  }
-  Rng rng(12);
-  std::vector<std::uint64_t> window(ps.words, 0);
-  for (int r = 0; r < rows; ++r)
-    if (rng.bernoulli(0.15)) window[r >> 6] |= std::uint64_t{1} << (r & 63);
-  std::vector<double> sums(static_cast<std::size_t>(k) * cols);
-  std::vector<int> n_active(k);
-  for (auto _ : state) {
-    core::accumulate_position_rows(ps, cols, k, window.data(), sums.data(),
-                                   n_active.data());
-    benchmark::DoNotOptimize(sums.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AccumulateRows);
-
 // 2×2 OR-pool: byte map vs packed words. Network-1 conv1 output shape.
 void BM_OrPoolBytes(benchmark::State& state) {
   const int h = 24, w = 24, c = 12;

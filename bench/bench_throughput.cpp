@@ -1,5 +1,5 @@
 // Batch-evaluation throughput of the SEI engines: images/sec of
-// SeiNetwork::error_rate for the bit-packed AND+popcount core vs the
+// SeiNetwork::error_rate for the bit-packed kernels vs the
 // scalar reference path (both run in one invocation, single-threaded),
 // plus the N-thread packed run for the parallelism determinism contract.
 //
@@ -92,8 +92,8 @@ int main(int argc, char** argv) try {
       "rows driven; docs/sparsity.md)");
   const std::string json_path = cli.get("json", "BENCH_throughput.json");
   const auto tel = telemetry::telemetry_flags(cli);
-  if (!cli.validate("SEI throughput: packed AND+popcount core vs scalar "
-                    "reference, plus N-thread determinism")) {
+  if (!cli.validate("SEI throughput: packed kernels vs scalar reference, "
+                    "plus N-thread determinism")) {
     telemetry::telemetry_flush(tel);
     return 0;
   }

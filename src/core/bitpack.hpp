@@ -1,33 +1,22 @@
-// Bit-packed AND+popcount evaluation core for the SEI hot path.
+// Bit-packed building blocks of the SEI packed engines.
 //
 // Post-Algorithm-1 activations are 1-bit (quant/qnet.hpp), so a crossbar
 // block's column current is a sum of effective weights over *selected*
 // rows. For an ideal device those effective values are exact integers
 // (mapping.cpp reduces programmed cells to level units), which makes the
-// sum computable entirely in integer arithmetic: decompose each
-// (block, column)'s weights into a small set of (level, row-mask) terms and
-// the block sum becomes
+// sum computable entirely in integer arithmetic. Integer accumulation has
+// no floating-point ordering hazards, so the packed engines reproduce the
+// scalar double accumulation bit-for-bit (every partial sum is exact — see
+// docs/kernels.md for the equivalence argument, including the stage-0 DAC
+// case).
 //
-//   sum(b, c) = Σ_p level_p · popcount(window ∧ mask_p)  −  bias · n_active[b]
-//
-// with n_active[b] itself a popcount of the input window against the
-// block's row mask, and the dynamic-threshold bias term folded into the
-// per-column `bias`. Integer accumulation has no floating-point ordering
-// hazards, so the packed path reproduces the scalar double accumulation
-// bit-for-bit (all partial sums are exact — see docs/kernels.md for the
-// equivalence argument, including the stage-0 DAC case).
-//
-// The decomposition is a biased bit-plane expansion: shift each column's
-// weights by `bias = −min(w)` (min over the block, zero rows included) so
-// all values are non-negative, then emit one row-mask per significance bit
-// actually used — at most ⌈log2(range)⌉ terms regardless of how many
-// distinct values exist. The layout is column-lane, plane-major: eight
-// adjacent columns share a lane group, and because every lane of plane p
-// carries the same weight 2^p, the kernel is a fixed-shape
-// AND+popcount+shift with no horizontal reduction — eight column sums
-// leave as one vector of doubles (AVX-512 VPOPCNTDQ where available;
-// std::popcount lane loops are the portable fallback — CI builds with
-// SEI_NATIVE=OFF keep that path green).
+// This file holds what those engines share: bit-vector primitives over
+// packed activations, the packed 2×2 OR-pool, the stage-0 DAC cache, and
+// PackedStage — one stage's integer weights as a padded int16 row table.
+// When every block column's Σ|w| fits int16, any subset of rows sums
+// without overflow, and the row-scatter kernel (core/sei_network.cpp,
+// docs/kernels.md §5) adds the table row of each active input bit into
+// int16 accumulators.
 #pragma once
 
 #include <bit>
@@ -136,84 +125,30 @@ void dac_quantize_image(std::span<const float> in, int bits,
 void dac_quantize_image(std::span<const float> in, int bits, float* out);
 
 // ---------------------------------------------------------------------------
-// Per-stage packed weight planes.
+// Per-stage integer row table.
 // ---------------------------------------------------------------------------
 
-/// Integer bit-plane decomposition of one mapped stage. Columns are tiled
-/// into lane groups of 8 (group cg covers columns 8·cg .. 8·cg+7); each
-/// (block, lane group) owns a CSR run of plane entries. Plane entry e
-/// holds significance bit plane_shift[e] and masks[e·words·kLanes ..)
-/// word-major: the 8 lane-column masks of row-word w are adjacent, so one
-/// 512-bit vector ANDs a broadcast window word against all eight columns.
-/// Every lane of a plane shares the weight 2^plane_shift[e], which is what
-/// lets eight column sums accumulate side by side with no reduction.
+/// The integer form of one mapped stage's effective weights.
 struct PackedStage {
-  static constexpr int kLanes = 8;  // columns per vector group
-  static constexpr int kMaxBlockSpan = 64;  // kernel local-window capacity
-
-  bool valid = false;      // hidden-stage AND+popcount path available
+  bool valid = false;      // every weight integral: packed engines exact
   bool dac_exact = false;  // stage-0 dense double path is bit-exact
-  int words = 0;           // u64 words per row mask: ceil(rows / 64)
-  int cgroups = 0;         // column lane groups: ceil(cols / kLanes)
+  int words = 0;           // u64 words per row window: ceil(rows / 64)
 
-  std::vector<std::uint32_t> plane_begin;  // CSR per (b·cgroups + cg)
-  std::vector<std::uint32_t> plane_shift;  // per plane entry: bit p
-  std::vector<std::uint32_t> mask_off;     // per plane entry: index into masks
-  std::vector<std::uint64_t> masks;        // block_span·kLanes per plane entry
-  std::vector<std::int64_t> bias;          // kLanes per (b·cgroups + cg)
-  std::vector<std::uint64_t> block_masks;  // k × words: rows of block b
-  // Masks are block-LOCAL: row r maps to bit rank(r within its block), so
-  // a 100-row block needs 2 words no matter how its rows interleave with
-  // other blocks' (homogenized stages round-robin rows across blocks).
-  // The kernel compacts each block's rows out of the full window with
-  // PEXT before the plane loop — a few cycles that shrink both the mask
-  // footprint and the per-plane word count by ~words/span.
-  std::vector<std::int32_t> block_span;  // k: local words ceil(rows_b / 64)
-  std::vector<std::int32_t> block_loff;  // k+1: prefix sums of block_span
-
-  // Active-row gather path: the same integer weights stored as one padded
-  // int16 vector per row (stride `cstride`, a multiple of 32, zero tail).
-  // When every block column's Σ|w| fits int16 (`rows_ok`), a position's
-  // block sums reduce to int16 vector adds over just the *active* rows —
-  // the cheapest kernel by far when activations are sparse-to-moderate,
-  // and still exact: all partial sums are small integers. The bit-plane
-  // layout above remains for the generic kernel's !rows_ok fallback and as
-  // a second independent packed implementation for the equivalence tests.
+  // The weights as one padded int16 vector per row (stride `cstride`, a
+  // multiple of 32, zero tail). Built only when every block column's Σ|w|
+  // fits int16 (`rows_ok`): then a block's sums over any active rows are
+  // int16 adds of those rows' vectors, and still exact.
   bool rows_ok = false;
   int cstride = 0;
   std::vector<std::int16_t> row_w;
-
-  std::size_t plane_count() const { return plane_shift.size(); }
 };
 
-/// Builds the packed decomposition of one stage's effective weights.
-/// `valid` stays false when any value is non-integral (programming noise,
-/// drift, IR drop) — the caller then keeps using the scalar oracle.
-/// `input_bits` only affects the stage-0 exactness bound (dac_exact).
+/// Builds the integer form of one stage's effective weights. `valid` stays
+/// false when any value is non-integral (programming noise, drift, IR
+/// drop) — the caller then keeps using the scalar oracle. `input_bits`
+/// only affects the stage-0 exactness bound (dac_exact).
 PackedStage build_packed_stage(const std::vector<float>& eff, int rows,
                                int cols, const std::vector<int>& row_to_block,
                                int block_count, int input_bits);
-
-/// Accumulates one output position: n_active[b] and block_sums[b·cols+c]
-/// for every block and column, from the packed input window (`ps.words`
-/// words). block_sums receives exact integer values as doubles. Σ n_active
-/// is the position's driven-row count that row billing charges
-/// (docs/sparsity.md).
-void accumulate_position(const PackedStage& ps, int cols, int block_count,
-                         const std::uint64_t* window, double* block_sums,
-                         int* n_active);
-
-/// PEXT-compacts block `b`'s rows out of the full window into its dense
-/// local window (`ps.block_span[b]` words, bit i = i-th block row in
-/// ascending row order) and returns the block's active-input count.
-int compact_block_window(const PackedStage& ps, int b,
-                         const std::uint64_t* window, std::uint64_t* lw);
-
-/// Active-row variant of accumulate_position (requires `ps.rows_ok`):
-/// identical outputs, but walks the set bits of the window and adds each
-/// active row's int16 weight vector instead of streaming bit-plane masks.
-void accumulate_position_rows(const PackedStage& ps, int cols,
-                              int block_count, const std::uint64_t* window,
-                              double* block_sums, int* n_active);
 
 }  // namespace sei::core

@@ -112,21 +112,19 @@ struct EvalContext {
   Scratch<std::uint64_t> window;    // packed window gather (+ activity)
   Scratch<float> dac_vals;    // stage-0 DAC output, cached per image
   Scratch<double> dac_d;      // dac_vals widened once per image
-  Scratch<std::uint8_t> pos_bits;  // one position's column bits
   Scratch<double> tile_w;     // stage-0 column block's taps as doubles
   Scratch<std::uint64_t> col_cmp;   // stage-0 bulk compare bits per column
   Scratch<std::uint64_t> col_open;  // stage-0 noisy: open reads per column
   Scratch<double> open_sums;        // stage-0 noisy: [col][position] sums
   Scratch<std::uint64_t> col_pool;  // stage-0 pooled per-column bits
-  // Row-scatter hidden kernel (kRow16Cmp): one band's int16 accumulators
+  // Row-scatter kernel (kRow16Cmp): one band's int16 accumulators
   // [position][block][lanes], its per-(position, block) active counts
-  // (dynamic thresholds only), and the int16 references.
+  // (dynamic thresholds only), the int16 references, and the decide
+  // thresholds (core/lazy_decide.hpp).
   Scratch<std::int16_t> row_acc;
   Scratch<std::int32_t> row_cnt;
   Scratch<std::int16_t> row_ref;
-  // Decide thresholds and the lazy noisy decide (core/lazy_decide.hpp).
-  Scratch<double> thresholds;        // k·cols block_thresholds
-  Scratch<std::uint64_t> col_words;  // noisy: one position's column bits
+  Scratch<double> thresholds;  // k·cols block_thresholds
 
   /// Binds every scratch buffer to `plan`'s exact bounds: one arena
   /// allocation, spans carved out, vectors reserved. Defined in

@@ -52,19 +52,12 @@ struct ReadNoise {
 /// `n_active`.
 void block_thresholds(const MappedLayer& m, const int* n_active, double* t);
 
-/// Lazy exact twin of decide_position under read noise `noise.sigma` > 0:
-/// the column bits of the position whose first read is `first_read`
-/// (p·cols·k), from its block sums [block][column] and `t` from
-/// block_thresholds. Writes ⌈cols/64⌉ words to `out`, bit c of word c/64
-/// for column c. Only reads whose band straddles their threshold in a
-/// still unsettled column draw.
-void decide_position_lazy(const MappedLayer& m, const ReadNoise& noise,
-                          std::uint64_t first_read, const double* block_sums,
-                          const double* t, std::uint64_t* out);
-
-/// Column `c` of decide_position_lazy, alone: bands the column's k reads
-/// and samples its open ones, in block order, while its vote is unsettled.
-/// Reads only the column's k block sums and thresholds.
+/// Lazy exact twin of decide_position for column `c` under read noise
+/// `noise.sigma` > 0: the column's bit at the position whose first read is
+/// `first_read` (p·cols·k), from its block sums [block][column] and `t`
+/// from block_thresholds. Bands the column's k reads and samples its open
+/// ones, in block order, while its vote is unsettled. Reads only the
+/// column's k block sums and thresholds.
 bool decide_column_lazy(const MappedLayer& m, const ReadNoise& noise,
                         std::uint64_t first_read, int c,
                         const double* block_sums, const double* t);

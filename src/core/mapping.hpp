@@ -65,7 +65,7 @@ struct MappedLayer {
   float dyn_beta = 0.0f;     // threshold slope vs. block active-input count
   float mean_abs_eff = 0.0f; // scale for dyn_beta (dimensionless β)
 
-  // Bit-packed AND+popcount decomposition of `eff` (docs/kernels.md);
+  // Integer int16 row table of `eff` (docs/kernels.md);
   // packed.valid is false when analog perturbations made any value
   // non-integral, in which case evaluation uses the scalar path.
   PackedStage packed;

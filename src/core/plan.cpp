@@ -20,13 +20,14 @@ bool dac_tile_fits(const MappedLayer& m) {
          m.packed.dac_exact;
 }
 
-/// True when a packed hidden stage fits the row-scatter kernel (kRow16Cmp):
-/// binarized, at most kRowMaxCols columns and kRowMaxBlocks blocks, and an
-/// int16 row table (rows_ok). Every other packed stage runs the generic
-/// bit-plane kernel.
+/// True when a stage after the first fits the row-scatter kernel
+/// (kRow16Cmp): binarized or a one-position classifier, at most kRowMaxCols
+/// columns and kRowMaxBlocks blocks, and an int16 row table (rows_ok).
+/// Every other stage runs the scalar oracle.
 bool row_kernel_fits(const MappedLayer& m) {
-  return m.binarize && m.geom.cols <= kRowMaxCols &&
-         m.block_count <= kRowMaxBlocks && m.packed.rows_ok;
+  return (m.binarize || m.geom.out_h * m.geom.out_w == 1) &&
+         m.geom.cols <= kRowMaxCols && m.block_count <= kRowMaxBlocks &&
+         m.packed.rows_ok;
 }
 
 /// kRow16Cmp's int16 lanes per (position, block): the narrowest of 8, 16,
@@ -105,14 +106,14 @@ void bound_stage(const MappedLayer& m, int stage, bool noisy,
 
   sp.block_sums = std::max(sp.block_sums, k * cols);
   sp.n_active = std::max(sp.n_active, k);
-  sp.pos_bits = std::max(sp.pos_bits, cols);
   sp.bitmap_bytes =
       std::max({sp.bitmap_bytes, pre_bits, pooled_bits, in_bits});
   sp.packed_words = std::max({sp.packed_words, words_for(pre_bits),
                               words_for(pooled_bits), words_for(in_bits)});
   if (!m.binarize) sp.scores = std::max(sp.scores, cols);
 
-  // Packed hidden-stage kernels.
+  // The position window (activity histogram, either engine) and the
+  // row-scatter kernel.
   const PackedStage& ps = m.packed;
   const std::size_t ps_words = std::max<std::size_t>(
       static_cast<std::size_t>(std::max(0, ps.words)),
@@ -148,11 +149,8 @@ void bound_stage(const MappedLayer& m, int stage, bool noisy,
     }
   }
 
-  // Decide thresholds of the packed hidden kernels, and the lazy noisy
-  // decide's scratch (core/lazy_decide.hpp).
+  // Decide thresholds of the row-scatter kernel's hidden stages.
   if (m.binarize) sp.thresholds = std::max(sp.thresholds, k * cols);
-  if (noisy && m.binarize)
-    sp.col_words = std::max(sp.col_words, words_for(cols));
 }
 
 StageEngine select_engine(const MappedLayer& m, int stage, bool packed_eval) {
@@ -162,12 +160,9 @@ StageEngine select_engine(const MappedLayer& m, int stage, bool packed_eval) {
     return packed_eval && dac_tile_fits(m) ? StageEngine::kDacDense
                                            : StageEngine::kScalarFloat;
   }
-  return packed_eval && m.packed.valid ? StageEngine::kPackedBits
-                                       : StageEngine::kScalarBits;
-}
-
-PackedKernel select_packed_kernel(const MappedLayer& m) {
-  return row_kernel_fits(m) ? PackedKernel::kRow16Cmp : PackedKernel::kGeneric;
+  return packed_eval && m.packed.valid && row_kernel_fits(m)
+             ? StageEngine::kPackedBits
+             : StageEngine::kScalarBits;
 }
 
 template <typename T>
@@ -185,7 +180,6 @@ void ScratchPlan::merge(const ScratchPlan& o) {
   window = std::max(window, o.window);
   dac_vals = std::max(dac_vals, o.dac_vals);
   dac_d = std::max(dac_d, o.dac_d);
-  pos_bits = std::max(pos_bits, o.pos_bits);
   tile_w = std::max(tile_w, o.tile_w);
   col_open = std::max(col_open, o.col_open);
   open_sums = std::max(open_sums, o.open_sums);
@@ -195,7 +189,6 @@ void ScratchPlan::merge(const ScratchPlan& o) {
   row_cnt = std::max(row_cnt, o.row_cnt);
   row_ref = std::max(row_ref, o.row_ref);
   thresholds = std::max(thresholds, o.thresholds);
-  col_words = std::max(col_words, o.col_words);
   scores = std::max(scores, o.scores);
   bitmap_bytes = std::max(bitmap_bytes, o.bitmap_bytes);
   packed_words = std::max(packed_words, o.packed_words);
@@ -206,12 +199,12 @@ bool ScratchPlan::covers(const ScratchPlan& o) const {
   return block_sums >= o.block_sums && n_active >= o.n_active &&
          plane_sums >= o.plane_sums && merged >= o.merged &&
          window >= o.window && dac_vals >= o.dac_vals && dac_d >= o.dac_d &&
-         pos_bits >= o.pos_bits && tile_w >= o.tile_w &&
+         tile_w >= o.tile_w &&
          col_open >= o.col_open && open_sums >= o.open_sums &&
          col_cmp >= o.col_cmp &&
          col_pool >= o.col_pool && row_acc >= o.row_acc &&
          row_cnt >= o.row_cnt && row_ref >= o.row_ref &&
-         thresholds >= o.thresholds && col_words >= o.col_words &&
+         thresholds >= o.thresholds &&
          scores >= o.scores && bitmap_bytes >= o.bitmap_bytes &&
          packed_words >= o.packed_words;
 }
@@ -221,7 +214,6 @@ void ScratchPlan::finalize() {
                 span_bytes<double>(plane_sums) + span_bytes<double>(merged) +
                 span_bytes<std::uint64_t>(window) +
                 span_bytes<float>(dac_vals) + span_bytes<double>(dac_d) +
-                span_bytes<std::uint8_t>(pos_bits) +
                 span_bytes<double>(tile_w) +
                 span_bytes<std::uint64_t>(col_open) +
                 span_bytes<double>(open_sums) +
@@ -230,8 +222,7 @@ void ScratchPlan::finalize() {
                 span_bytes<std::int16_t>(row_acc) +
                 span_bytes<std::int32_t>(row_cnt) +
                 span_bytes<std::int16_t>(row_ref) +
-                span_bytes<double>(thresholds) +
-                span_bytes<std::uint64_t>(col_words);
+                span_bytes<double>(thresholds);
 }
 
 CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
@@ -281,9 +272,8 @@ CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
     }
     live = op.out_form;
     if (op.engine == StageEngine::kPackedBits) {
-      op.packed_kernel = select_packed_kernel(m);
-      if (op.packed_kernel == PackedKernel::kRow16Cmp)
-        op.scatter = compile_scatter(m);
+      op.packed_kernel = PackedKernel::kRow16Cmp;
+      op.scatter = compile_scatter(m);
     }
     if (op.engine == StageEngine::kDacDense)
       op.dac_kernel = DacKernel::kDenseTranspose;
@@ -313,7 +303,6 @@ void EvalContext::bind(const ScratchPlan& plan) {
   window.bind(arena_, plan.window);
   dac_vals.bind(arena_, plan.dac_vals);
   dac_d.bind(arena_, plan.dac_d);
-  pos_bits.bind(arena_, plan.pos_bits);
   tile_w.bind(arena_, plan.tile_w);
   col_open.bind(arena_, plan.col_open);
   open_sums.bind(arena_, plan.open_sums);
@@ -323,7 +312,6 @@ void EvalContext::bind(const ScratchPlan& plan) {
   row_cnt.bind(arena_, plan.row_cnt);
   row_ref.bind(arena_, plan.row_ref);
   thresholds.bind(arena_, plan.thresholds);
-  col_words.bind(arena_, plan.col_words);
   // Swap-rotated buffers: every one of the trio can hold any stage's
   // largest map, so all reserve the shared bound.
   stage_bits.reserve(plan.bitmap_bytes);

@@ -7,10 +7,10 @@
 // (mapped layers, HardwareConfig, engine switch) once — at construction,
 // remap, fault repair, or checkpoint restore — into a CompiledPlan:
 //
-//  * a flat array of StageOps with the engine AND the packed sub-kernel
-//    resolved per layer geometry (the row-scatter compare kernel, with its
-//    target map, vs generic); stage 0 runs the DAC column tile where it
-//    applies and the scalar reference everywhere else,
+//  * a flat array of StageOps with the engine resolved per layer geometry:
+//    stage 0 runs the DAC column tile where it applies, every later stage
+//    the row-scatter kernel (with its target map) where it applies, and
+//    every other stage the scalar reference,
 //  * explicit activation-form converts (bytes ↔ packed words) inserted at
 //    the stage boundaries that need them,
 //  * per-stage energy prices baked in from the attached meter,
@@ -38,7 +38,7 @@ enum class StageEngine : std::uint8_t {
   kScalarFloat,  // stage-0 scalar reference (DAC per window)
   kScalarBits,   // hidden/classifier scalar reference on byte maps
   kDacDense,     // stage-0 packed core: cached DAC + dense column tile
-  kPackedBits,   // hidden/classifier AND+popcount core on packed words
+  kPackedBits,   // stages 1+: the row-scatter kernel on packed words
 };
 
 /// Representation of the live activations at a stage boundary.
@@ -49,17 +49,17 @@ enum class ActForm : std::uint8_t {
   kScores,  // classifier scores (terminal)
 };
 
-/// Hidden-stage packed sub-kernel, resolved at compile time from the
-/// stage geometry. kBatch8 names a retired kernel and stays only because
-/// the benchmark's kernel-name probe still switches on it.
+/// Packed sub-kernel of stages 1 and later. Every kPackedBits op runs
+/// kRow16Cmp; kBatch8 and kGeneric name retired kernels and stay only
+/// because the benchmark's kernel-name probe still switches on them.
 enum class PackedKernel : std::uint8_t {
   kNone,      // op does not run the packed engine
   kBatch8,    // retired
-  kRow16Cmp,  // input-stationary row scatter in int16 lanes, compare + vote
-              // in registers; binarized rows_ok stages of ≤ 64 columns,
-              // noisy or not
-  kGeneric,   // per-position bit-plane / row-gather accumulate: the
-              // classifier and every stage kRow16Cmp does not cover
+  kRow16Cmp,  // input-stationary row scatter in int16 lanes: binarized
+              // stages compare + vote in registers, a one-position
+              // classifier widens its block sums for the merge; rows_ok
+              // stages of ≤ 64 columns and ≤ 64 blocks, noisy or not
+  kGeneric,   // retired
 };
 
 /// kRow16Cmp limits: a position's block votes count in int8 lanes.
@@ -76,8 +76,9 @@ inline constexpr std::size_t kScatterBandBytes = 32 * 1024;
 /// a band's accumulators are int16, laid out [position][block][lanes]
 /// from the band's first position. An input bit at pixel (iy, ix),
 /// channel ch, drives row r = (di·kernel + dj)·in_ch + ch of position
-/// (iy − di, ix − dj) for every in-range tap (di, dj); a binarized FC
-/// stage is the one-position case, one pixel carrying every row.
+/// (iy − di, ix − dj) for every in-range tap (di, dj); an FC stage (and
+/// with it the classifier) is the one-position case, one pixel carrying
+/// every row.
 struct ScatterMap {
   struct Tap {
     std::int32_t acc;  // accumulator offset in the band, int16 units
@@ -158,7 +159,6 @@ struct ScratchPlan {
   std::size_t window = 0;
   std::size_t dac_vals = 0;
   std::size_t dac_d = 0;
-  std::size_t pos_bits = 0;
   std::size_t tile_w = 0;
   std::size_t col_cmp = 0;
   std::size_t col_open = 0;   // read-noise networks only
@@ -168,7 +168,6 @@ struct ScratchPlan {
   std::size_t row_cnt = 0;
   std::size_t row_ref = 0;
   std::size_t thresholds = 0;
-  std::size_t col_words = 0;   // read-noise networks only
 
   std::size_t scores = 0;        // reserve on ctx.scores (floats)
   std::size_t bitmap_bytes = 0;  // reserve on stage_bits/pooled_bits/bits

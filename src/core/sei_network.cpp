@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "core/bitpack.hpp"
@@ -359,18 +360,6 @@ inline std::uint64_t pack_pos_bytes(std::uint64_t t, int cols) {
 #endif
 }
 
-/// Packs one position's 0/1 column bytes onto the end of `writer`.
-void append_position_bits(BitWriter& writer, const std::uint8_t* bits,
-                          int cols) {
-  for (int off = 0; off < cols; off += 64) {
-    const int n = std::min(64, cols - off);
-    std::uint64_t word = 0;
-    for (int j = 0; j < n; ++j)
-      word |= static_cast<std::uint64_t>(bits[off + j]) << j;
-    writer.append(word, n);
-  }
-}
-
 /// One column block of the stage-0 dense convolution (in_ch == 1).
 struct Conv0Tile {
   const double* img;  // DAC levels, in_h × in_w, then kConv0Pad zeros
@@ -558,7 +547,8 @@ constexpr std::array<std::array<Conv0TileFn, kConv0MaxCols>, 2> kConv0Tiles{
     conv0_tiles<true>(std::make_index_sequence<kConv0MaxCols>{})};
 
 // ---------------------------------------------------------------------------
-// kRow16Cmp: the input-stationary hidden-stage kernel (docs/kernels.md §5).
+// kRow16Cmp: the input-stationary kernel of every packed stage after the
+// first (docs/kernels.md §5).
 // ---------------------------------------------------------------------------
 
 constexpr double kInt16Min = std::numeric_limits<std::int16_t>::min();
@@ -904,7 +894,37 @@ std::int64_t row_scatter_stage(const MappedLayer& m, const ScatterMap& map,
   return rows_driven;
 }
 
-/// Runs row_scatter_stage at the op's lane width.
+/// The one-position classifier on the row-scatter kernel: its active input
+/// bits scatter into [block][lanes] accumulators, which widen, exact, into
+/// ctx.block_sums [block][column] for the merge. Returns the rows driven.
+template <int L>
+std::int64_t row_scatter_classifier(const MappedLayer& m,
+                                    const ScatterMap& map,
+                                    const quant::PackedBits& in,
+                                    EvalContext& ctx) {
+  const quant::StageGeometry& g = m.geom;
+  const int cols = g.cols, k = m.block_count;
+  std::int16_t* acc = ctx.row_acc.data();
+  std::memset(acc, 0, static_cast<std::size_t>(k) * L * sizeof *acc);
+  const std::int64_t rows_driven =
+      scatter_band<L, false>(m, map, 0, 0, 1, in.words.data(), acc, nullptr);
+  if (EvalContext::StageActivity* act = ctx.cur_activity) {
+    const std::uint64_t* window = in.words.data();
+    if (g.kind == quant::StageSpec::Kind::Conv) {
+      gather_window(g, m.packed.words, window, 0, 0, ctx.window.data());
+      window = ctx.window.data();
+    }
+    record_activity(g.rows, window, *act);
+  }
+  for (int b = 0; b < k; ++b)
+    for (int c = 0; c < cols; ++c)
+      ctx.block_sums[static_cast<std::size_t>(b) * cols + c] =
+          acc[static_cast<std::size_t>(b) * L + c];
+  return rows_driven;
+}
+
+/// Runs the row-scatter kernel at the op's lane width: row_scatter_stage
+/// for a hidden stage, row_scatter_classifier for the classifier.
 std::int64_t run_row_scatter(const MappedLayer& m, const ScatterMap& map,
                              const quant::PackedBits& in, EvalContext& ctx,
                              BitWriter& writer) {
@@ -913,17 +933,22 @@ std::int64_t run_row_scatter(const MappedLayer& m, const ScatterMap& map,
   ctx.row_cnt.resize(static_cast<std::size_t>(map.band_rows) * m.geom.out_w *
                      m.block_count);
   ctx.row_ref.resize(2 * static_cast<std::size_t>(m.block_count) * map.lanes);
+  const auto run = [&](auto lanes) {
+    constexpr int L = decltype(lanes)::value;
+    return m.binarize ? row_scatter_stage<L>(m, map, in, ctx, writer)
+                      : row_scatter_classifier<L>(m, map, in, ctx);
+  };
   switch (map.lanes) {
-    case 8: return row_scatter_stage<8>(m, map, in, ctx, writer);
-    case 16: return row_scatter_stage<16>(m, map, in, ctx, writer);
-    case 32: return row_scatter_stage<32>(m, map, in, ctx, writer);
-    default: return row_scatter_stage<64>(m, map, in, ctx, writer);
+    case 8: return run(std::integral_constant<int, 8>{});
+    case 16: return run(std::integral_constant<int, 16>{});
+    case 32: return run(std::integral_constant<int, 32>{});
+    default: return run(std::integral_constant<int, 64>{});
   }
 }
 
 /// Lazy twin of merge_classifier for a one-position classifier under read
 /// noise, for the argmax only (ctx.scores has no other reader). Each class
-/// score is banded first: its reads' brackets (see decide_position_lazy)
+/// score is banded first: its reads' brackets (see decide_column_lazy)
 /// summed in block order bound the eager sum, since rounded addition is
 /// monotone, and so do the scale and bias that follow. Only classes whose
 /// upper bound reaches the best lower bound can be the first maximum;
@@ -968,84 +993,36 @@ void SeiNetwork::eval_stage_packed(const StageOp& op, const MappedLayer& m,
                                    std::vector<float>& scores,
                                    EvalContext& ctx) const {
   const quant::StageGeometry& g = m.geom;
-  const PackedStage& ps = m.packed;
-  SEI_CHECK(ps.valid);
+  SEI_CHECK(op.packed_kernel == PackedKernel::kRow16Cmp && m.packed.valid);
   SEI_CHECK(in.bits == static_cast<std::size_t>(g.in_h) * g.in_w * g.in_ch);
   const int cols = g.cols, k = m.block_count;
-  EvalContext::StageActivity* act = ctx.cur_activity;
   ctx.block_sums.resize(static_cast<std::size_t>(k) * cols);
   ctx.n_active.resize(static_cast<std::size_t>(k));
 
   const std::size_t positions = static_cast<std::size_t>(g.out_h) * g.out_w;
   BitWriter writer(ctx.packed_stage, m.binarize ? positions * cols : 0);
-  if (m.binarize) ctx.pos_bits.resize(static_cast<std::size_t>(cols));
-  else scores.assign(static_cast<std::size_t>(cols), 0.0f);
-
-  const bool is_conv = g.kind == quant::StageSpec::Kind::Conv;
-  // FC input is already the full row window (rows == in.bits, zero tail).
-  const std::uint64_t* window = in.words.data();
-  if (is_conv) ctx.window.resize(static_cast<std::size_t>(ps.words));
-
-  const ReadNoise& noise = ctx.noise;
-  const bool noisy = noise.sigma > 0.0;
   if (m.binarize) ctx.thresholds.resize(static_cast<std::size_t>(k) * cols);
-  if (noisy && m.binarize)
-    ctx.col_words.resize((static_cast<std::size_t>(cols) + 63) / 64);
-  // Rows driven (the row-billing count) come from counts the kernels take
-  // anyway: Σ n_active per position, or the taps the scatter walks.
-  std::int64_t rows_driven = 0;
-  if (op.packed_kernel == PackedKernel::kRow16Cmp) {
-    rows_driven = run_row_scatter(m, op.scatter, in, ctx, writer);
-  } else {
-    for (int y = 0; y < g.out_h; ++y) {
-      for (int x = 0; x < g.out_w; ++x) {
-        if (is_conv) {
-          gather_window(g, ps.words, in.words.data(), y, x, ctx.window.data());
-          window = ctx.window.data();
-        }
-        if (act) record_activity(g.rows, window, *act);
-        if (ps.rows_ok)
-          accumulate_position_rows(ps, cols, k, window, ctx.block_sums.data(),
-                                   ctx.n_active.data());
-        else
-          accumulate_position(ps, cols, k, window, ctx.block_sums.data(),
-                              ctx.n_active.data());
-        for (int b = 0; b < k; ++b)
-          rows_driven += ctx.n_active[static_cast<std::size_t>(b)];
-        const std::uint64_t first_read =
-            (static_cast<std::uint64_t>(y) * g.out_w + x) * cols * k;
-        if (!m.binarize) {
-          if (noisy && positions == 1)
-            merge_classifier_lazy(m, noise, ctx.block_sums.data(),
-                                  scores.data());
-          else
-            merge_classifier(m, scores, ctx, first_read);
-          continue;
-        }
-        if (!noisy) {
-          decide_position(m, ctx.block_sums.data(), ctx.n_active.data(),
-                          ctx.pos_bits.data(), noise, first_read);
-          append_position_bits(writer, ctx.pos_bits.data(), cols);
-          continue;
-        }
-        block_thresholds(m, ctx.n_active.data(), ctx.thresholds.data());
-        decide_position_lazy(m, noise, first_read, ctx.block_sums.data(),
-                             ctx.thresholds.data(), ctx.col_words.data());
-        for (int c0 = 0; c0 < cols; c0 += 64)
-          writer.append(ctx.col_words[static_cast<std::size_t>(c0 / 64)],
-                        std::min(64, cols - c0));
-      }
-    }
-  }
+  else scores.assign(static_cast<std::size_t>(cols), 0.0f);
+  // The activity histogram reads each conv position's gathered window.
+  if (g.kind == quant::StageSpec::Kind::Conv)
+    ctx.window.resize(static_cast<std::size_t>(m.packed.words));
 
-  ctx.rows_driven = rows_driven;
-  if (m.binarize) {
-    writer.finish();
-    if (g.pool_after)
-      or_pool_packed(ctx.packed_stage, g.out_h, g.out_w, cols, bits_out);
+  // Rows driven (the row-billing count) are the taps the scatter walks.
+  ctx.rows_driven = run_row_scatter(m, op.scatter, in, ctx, writer);
+  if (!m.binarize) {
+    // The classifier: one position, read (c, b) = c·k + b.
+    if (ctx.noise.sigma > 0.0)
+      merge_classifier_lazy(m, ctx.noise, ctx.block_sums.data(),
+                            scores.data());
     else
-      bits_out = ctx.packed_stage;
+      merge_classifier(m, scores, ctx, 0);
+    return;
   }
+  writer.finish();
+  if (g.pool_after)
+    or_pool_packed(ctx.packed_stage, g.out_h, g.out_w, cols, bits_out);
+  else
+    bits_out = ctx.packed_stage;
 }
 
 void SeiNetwork::eval_stage_dac(const MappedLayer& m, std::span<const float> in,

@@ -106,7 +106,7 @@ class SeiNetwork {
   bool sparsity_enabled() const { return row_billing_; }
 
   /// Engine switch (initialized from cfg.packed_eval): when on, stages with
-  /// a valid integer decomposition run the bit-packed AND+popcount core;
+  /// integral weights run the bit-packed kernels where they fit;
   /// when off, everything runs the scalar reference path. Both produce
   /// bit-identical results (docs/kernels.md) — this only trades speed.
   /// Recompiles the plan.
@@ -172,8 +172,8 @@ class SeiNetwork {
                         EvalContext& ctx) const;
 
   /// Bit-packed engines (core/bitpack): `eval_stage_packed` is the hidden/
-  /// classifier stage on packed words, its sub-kernel (and the row
-  /// scatter's target map) resolved at plan-compile time (core/plan.cpp);
+  /// classifier stage on packed words, run by the row-scatter kernel on the
+  /// target map compiled with the plan (core/plan.cpp);
   /// `eval_stage_dac` the stage-0 column tile, which caches the DAC output
   /// once per image and convolves densely.
   void eval_stage_packed(const StageOp& op, const MappedLayer& m,

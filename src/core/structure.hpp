@@ -46,9 +46,9 @@ struct HardwareConfig {
   std::uint64_t seed = 20160605;       // mapping / programming randomness
 
   // Evaluation engine selection (docs/kernels.md): when true, stages whose
-  // effective weights are exactly integral run on the bit-packed
-  // AND+popcount core; stages with analog perturbations (or when false)
-  // fall back to the scalar float reference path. Both paths are
+  // effective weights are exactly integral run on the bit-packed kernels
+  // where they fit; stages with analog perturbations (or when false) fall
+  // back to the scalar float reference path. Both paths are
   // bit-identical, so this is purely a speed switch.
   bool packed_eval = true;
 

@@ -6,9 +6,8 @@
 // nonzero byte to 1 — exactly the predicate the SEI evaluation applies to a
 // byte activation — and unpacking always produces clean 0/1 bytes, so a
 // pack/unpack round trip is the identity on every BitMap the pipeline
-// produces. The word layout is the contract the core::bitpack kernels
-// (AND+popcount accumulation, packed OR-pool) are written against; see
-// docs/kernels.md.
+// produces. The word layout is the contract the packed kernels (the row
+// scatter, the packed OR-pool) are written against; see docs/kernels.md.
 #pragma once
 
 #include <cstddef>

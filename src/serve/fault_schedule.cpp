@@ -35,7 +35,7 @@ void apply_fault(core::SeiNetwork& net, const FaultEvent& ev,
                                   static_cast<std::uint64_t>(s));
     core::MappedLayer& m = net.layer(s);
     damage_stage(m, ev, rng);
-    // The packed AND+popcount decomposition is derived from `eff` at map
+    // The packed int16 row table is derived from `eff` at map
     // time; without a rebuild the packed engine would keep evaluating the
     // pre-fault weights and the damage would be invisible to serving.
     net.rebuild_packed(s);

@@ -1,8 +1,7 @@
 // core/bitpack unit tests: bit-vector primitives, the packed OR-pool, and
-// the integer accumulation layouts (lane-group bit planes, the int16 row
-// table) against brute-force scalar references. Shapes
-// deliberately avoid multiples of 64 so tail-word masking and
-// block-boundary straddles are exercised.
+// the int16 row table the row-scatter kernel reads, against brute-force
+// scalar references. Shapes deliberately avoid multiples of 64 so
+// tail-word masking and block-boundary straddles are exercised.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -173,49 +172,11 @@ TEST_P(BitpackAccumulate, AllKernelsMatchBruteForce) {
       core::build_packed_stage(eff, s.rows, s.cols, row_to_block, s.k, 8);
   ASSERT_TRUE(ps.valid);
   EXPECT_EQ(ps.words, (s.rows + 63) / 64);
-
-  const std::size_t nsums = static_cast<std::size_t>(s.k) * s.cols;
-  std::vector<std::uint64_t> window(static_cast<std::size_t>(ps.words));
-  std::vector<double> want_sums, got_sums(nsums);
-  std::vector<int> want_active, got_active(static_cast<std::size_t>(s.k));
-
-  const int lwords = ps.block_loff[static_cast<std::size_t>(s.k)];
-  std::vector<std::uint64_t> lw(static_cast<std::size_t>(lwords));
-
-  for (int p = 0; p < 8; ++p) {
-    const double density = p == 0 ? 0.0 : (p == 7 ? 1.0 : 0.15 * p);
-    std::fill(window.begin(), window.end(), 0);
-    for (int r = 0; r < s.rows; ++r)
-      if (rng.bernoulli(density))
-        window[r >> 6] |= std::uint64_t{1} << (r & 63);
-
-    reference_sums(eff, s.rows, s.cols, row_to_block, s.k, window, want_sums,
-                   want_active);
-
-    core::accumulate_position(ps, s.cols, s.k, window.data(), got_sums.data(),
-                              got_active.data());
-    EXPECT_EQ(got_sums, want_sums) << "accumulate_position, p=" << p;
-    EXPECT_EQ(got_active, want_active) << "accumulate_position, p=" << p;
-
-    if (ps.rows_ok) {
-      core::accumulate_position_rows(ps, s.cols, s.k, window.data(),
-                                     got_sums.data(), got_active.data());
-      EXPECT_EQ(got_sums, want_sums) << "accumulate_position_rows, p=" << p;
-      EXPECT_EQ(got_active, want_active)
-          << "accumulate_position_rows, p=" << p;
-    }
-
-    for (int b = 0; b < s.k; ++b) {
-      const int cnt = core::compact_block_window(ps, b, window.data(),
-                                                 lw.data() + ps.block_loff[b]);
-      EXPECT_EQ(cnt, want_active[static_cast<std::size_t>(b)])
-          << "compact_block_window block " << b;
-    }
-  }
-
-  // The row-gather kernel's int16 table, built when every block column's
-  // Σ|w| fits: each row holds the weights, then a zero tail.
+  // The int16 table is built exactly when every block column's Σ|w| fits.
+  EXPECT_EQ(ps.rows_ok, s.max_abs < 1000);
   if (!ps.rows_ok) return;
+
+  // Each row holds the weights, then a zero tail.
   const int stride = ps.cstride;
   ASSERT_EQ(ps.row_w.size(), static_cast<std::size_t>(s.rows) * stride);
   for (int r = 0; r < s.rows; ++r)
@@ -224,6 +185,41 @@ TEST_P(BitpackAccumulate, AllKernelsMatchBruteForce) {
                 c < s.cols ? eff[static_cast<std::size_t>(r) * s.cols + c]
                            : 0.0f)
           << "row " << r << " col " << c;
+
+  // A random window's block sums, as the scatter kernel forms them: the
+  // int16 sum of each active row's table row into its block.
+  std::vector<std::uint64_t> window(static_cast<std::size_t>(ps.words));
+  std::vector<double> want_sums;
+  std::vector<int> want_active;
+  for (int p = 0; p < 8; ++p) {
+    const double density = p == 0 ? 0.0 : (p == 7 ? 1.0 : 0.15 * p);
+    std::fill(window.begin(), window.end(), 0);
+    for (int r = 0; r < s.rows; ++r)
+      if (rng.bernoulli(density))
+        window[r >> 6] |= std::uint64_t{1} << (r & 63);
+    reference_sums(eff, s.rows, s.cols, row_to_block, s.k, window, want_sums,
+                   want_active);
+
+    std::vector<std::int16_t> acc(static_cast<std::size_t>(s.k) * stride, 0);
+    std::vector<int> got_active(static_cast<std::size_t>(s.k), 0);
+    for (int r = 0; r < s.rows; ++r) {
+      if (((window[r >> 6] >> (r & 63)) & 1u) == 0) continue;
+      const int b = row_to_block[static_cast<std::size_t>(r)];
+      ++got_active[static_cast<std::size_t>(b)];
+      for (int c = 0; c < stride; ++c) {
+        std::int16_t& a = acc[static_cast<std::size_t>(b) * stride + c];
+        a = static_cast<std::int16_t>(
+            a + ps.row_w[static_cast<std::size_t>(r) * stride + c]);
+      }
+    }
+    std::vector<double> got_sums(static_cast<std::size_t>(s.k) * s.cols);
+    for (int b = 0; b < s.k; ++b)
+      for (int c = 0; c < s.cols; ++c)
+        got_sums[static_cast<std::size_t>(b) * s.cols + c] =
+            acc[static_cast<std::size_t>(b) * stride + c];
+    EXPECT_EQ(got_sums, want_sums) << "p=" << p;
+    EXPECT_EQ(got_active, want_active) << "p=" << p;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -238,7 +234,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Bitpack, LargeWeightsDisableRowGatherOnly) {
   // Σ|w| over a 100-row block at |w| ≤ 1000 overflows int16, so the row
-  // table must be rejected while the bit-plane kernels stay available.
+  // table must be rejected while the stage stays integral (valid).
   Rng rng(27);
   std::vector<float> eff(300 * 16);
   for (auto& v : eff)

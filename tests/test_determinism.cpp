@@ -512,10 +512,10 @@ TEST(Determinism, DynamicThresholdIsOneFusedMultiplyAdd) {
   // share + round(β·(n_b − mean)) lands on it, so a decide that rounded
   // the product first would flip the bit. Stage 1 is a five-block vote at
   // one position over inputs chosen per block, and the classifier reads
-  // its bit back as the label. At 16 channels stage 1 runs the row-gather
+  // its bit back as the label. At 16 channels stage 1 runs the row-scatter
   // kernel; at 160 its Σ|w| overflows the int16 row table and it runs the
-  // generic kernel. A vanishing read noise routes both through the lazy
-  // band.
+  // scalar oracle in both plans. A vanishing read noise routes the kernel
+  // through the lazy band.
   for (const int channels : {16, 160}) {
     quant::Topology topo;
     topo.name = "fused-threshold";
@@ -544,9 +544,9 @@ TEST(Determinism, DynamicThresholdIsOneFusedMultiplyAdd) {
       ASSERT_EQ(k, 5);
       const double w = m.eff[0];
       for (const float e : m.eff) ASSERT_EQ(e, m.eff[0]);
-      EXPECT_EQ(hw.plan().ops[1].packed_kernel,
-                channels == 16 ? core::PackedKernel::kRow16Cmp
-                               : core::PackedKernel::kGeneric);
+      EXPECT_EQ(hw.plan().ops[1].engine,
+                channels == 16 ? core::StageEngine::kPackedBits
+                               : core::StageEngine::kScalarBits);
       EXPECT_EQ(m.packed.rows_ok, channels == 16);
       const Straddle st = find_straddle(w, k, rows / k);
       ASSERT_GT(st.n0, 0);
@@ -659,8 +659,7 @@ TEST(LazyDecide, MatchesEagerPerReadLoop) {
       for (int vote = 0; vote <= k + 1; ++vote) {
         for (const bool offsets : {false, true}) {
           for (const bool dynamic : {false, true}) {
-            // Mostly narrow; one layer in four spans several 64-column
-            // chunks of the band.
+            // Mostly narrow; one layer in four is wider than 64 columns.
             const int cols =
                 1 + static_cast<int>(gen.below(gen.below(4) == 0 ? 150 : 20));
             const core::MappedLayer m =
@@ -668,8 +667,6 @@ TEST(LazyDecide, MatchesEagerPerReadLoop) {
             const std::size_t n = static_cast<std::size_t>(k) * cols;
             std::vector<double> t(n), sums(n);
             std::vector<std::uint8_t> want(cols);
-            std::vector<std::uint64_t> got(
-                (static_cast<std::size_t>(cols) + 63) / 64);
             const core::ReadNoise noise{sigma, gen()};
             for (int pos = 0; pos < 4; ++pos) {
               const std::uint64_t first_read =
@@ -685,12 +682,10 @@ TEST(LazyDecide, MatchesEagerPerReadLoop) {
                 sums[i] = random_sum(gen, t[i], sigma);
               eager_decide(m, noise, first_read, sums.data(), n_active.data(),
                            want.data(), gen);
-              core::decide_position_lazy(m, noise, first_read, sums.data(),
-                                         t.data(), got.data());
               for (int c = 0; c < cols; ++c)
-                ASSERT_EQ(
-                    (got[static_cast<std::size_t>(c) / 64] >> (c % 64)) & 1u,
-                    want[static_cast<std::size_t>(c)])
+                ASSERT_EQ(core::decide_column_lazy(m, noise, first_read, c,
+                                                   sums.data(), t.data()),
+                          want[static_cast<std::size_t>(c)] != 0)
                     << "sigma " << sigma << " k " << k << " vote " << vote
                     << " pos " << pos << " col " << c;
             }

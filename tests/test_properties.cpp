@@ -1,6 +1,7 @@
 // Cross-module property tests (parameterized sweeps over configurations).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <optional>
 #include <span>
@@ -179,18 +180,19 @@ TEST(Properties, GeometryChains) {
 }
 
 // ---------------------------------------------------------------------------
-// Hidden-stage differential test: the packed hidden kernels against the
-// scalar oracle on seeded random geometries — stage-1 kernels 1..7 (every
-// border clip of the row scatter), 1..16 input channels, output widths that
-// are not multiples of 8 or 16, window rows that are not a multiple of 64
-// (9-row input words straddling a u64), 1..k blocks in homogenized
-// round-robin or natural order, 1..64 columns, conv and FC hidden stages,
-// pooling, SA offsets, dynamic thresholds, read noise on and off, output
-// rows processed in several accumulator bands, and weights scaled past the
-// int16 row table (!rows_ok, which the generic kernel runs). Row billing is
-// on: a probe meter that prices one event per driven row pins the rows each
-// kernel reports driving, stage by stage, and the activity histograms pin
-// the 9-row word counts.
+// Hidden-stage differential test: the packed kernel of stages 1 and later
+// against the scalar oracle on seeded random geometries — stage-1 kernels
+// 1..7 (every border clip of the row scatter), 1..16 input channels, output
+// widths that are not multiples of 8 or 16, window rows that are not a
+// multiple of 64 (9-row input words straddling a u64), 1..k blocks in
+// homogenized round-robin or natural order, 1..64 columns, conv and FC
+// hidden stages, pooling, SA offsets, dynamic thresholds, read noise on and
+// off, output rows processed in several accumulator bands, and weights
+// scaled past the int16 row table (!rows_ok, which lowers to the scalar
+// oracle). The classifier draws 2..64 columns (every lane width) and 1..64
+// blocks. Row billing is on: a probe meter that prices one event per driven
+// row pins the rows each engine reports driving, stage by stage, and the
+// activity histograms pin the 9-row word counts.
 
 /// An energy meter whose only charge is one cell activation per row stage
 /// 1 drives and one driver op per row stage 2 drives: the accumulated
@@ -204,12 +206,89 @@ telemetry::EnergyMeter rows_probe_meter() {
   return telemetry::EnergyMeter(std::move(st));
 }
 
+/// One plan's answers on a dataset: the predictions, per image the rows
+/// stages 1 and 2 drove, and per stage the activity histogram, active rows
+/// and skipped words.
+struct ProbeRun {
+  std::vector<int> pred;
+  std::vector<std::uint64_t> rows;
+  std::vector<std::int64_t> hist;
+};
+
+ProbeRun run_probe(core::SeiNetwork& hw, const data::Dataset& d,
+                   const telemetry::EnergyMeter& probe, bool packed) {
+  hw.set_packed_eval(packed);
+  ProbeRun run;
+  core::EvalContext ctx;
+  std::vector<core::EvalContext::StageActivity> act(
+      static_cast<std::size_t>(hw.stage_count()));
+  ctx.activity = act.data();
+  ctx.meter = &probe;
+  const std::size_t px = d.images.numel() / static_cast<std::size_t>(d.size());
+  for (int i = 0; i < d.size(); ++i) {
+    telemetry::EnergyAccum e;
+    ctx.energy = &e;
+    run.pred.push_back(hw.predict(
+        {d.images.data() + static_cast<std::size_t>(i) * px, px}, ctx, i));
+    run.rows.push_back(e.events.cell_activations);
+    run.rows.push_back(e.events.driver_ops);
+  }
+  for (const auto& a : act) {
+    run.hist.insert(run.hist.end(), std::begin(a.hist), std::end(a.hist));
+    run.hist.push_back(a.rows_active);
+    run.hist.push_back(a.words_skipped);
+  }
+  return run;
+}
+
+/// Expects the packed and the scalar plan of `hw` to give the same
+/// predictions, rows driven and activity histograms; returns the packed run.
+ProbeRun expect_plans_agree(core::SeiNetwork& hw, const data::Dataset& d,
+                            const telemetry::EnergyMeter& probe) {
+  ProbeRun packed = run_probe(hw, d, probe, true);
+  const ProbeRun scalar = run_probe(hw, d, probe, false);
+  EXPECT_EQ(packed.pred, scalar.pred);
+  EXPECT_EQ(packed.rows, scalar.rows);
+  EXPECT_EQ(packed.hist, scalar.hist);
+  return packed;
+}
+
+/// `n` random images of side `input`, a third of their pixels dark.
+data::Dataset random_images(Rng& gen, int n, int input) {
+  data::Dataset d;
+  d.images = nn::Tensor({n, input, input, 1});
+  for (float& v : d.images.flat())
+    v = gen.below(3) == 0 ? 0.0f : static_cast<float>(gen.uniform(0.0, 1.0));
+  return d;
+}
+
+/// Re-splits `m`'s rows into `k` blocks, round-robin or contiguous: block
+/// counts the crossbar row limit alone would not reach.
+void resplit_blocks(core::MappedLayer& m, int k, bool round_robin) {
+  const int rows = m.geom.rows;
+  m.block_count = k;
+  for (int r = 0; r < rows; ++r)
+    m.row_to_block[static_cast<std::size_t>(r)] =
+        round_robin ? r % k
+                    : static_cast<int>(static_cast<long long>(r) * k / rows);
+}
+
+/// True when the classifier `m` fits the row-scatter kernel.
+bool classifier_fits(const core::MappedLayer& m) {
+  return m.geom.out_h * m.geom.out_w == 1 && m.geom.cols <= core::kRowMaxCols &&
+         m.block_count <= core::kRowMaxBlocks && m.packed.rows_ok;
+}
+
 TEST(HiddenStage, PackedMatchesScalarOnRandomGeometries) {
   Rng gen(2024);
+  Rng cgen(2025);  // the classifier's draws, apart from the hidden sweep's
   const telemetry::EnergyMeter probe = rows_probe_meter();
   int split = 0, wide = 0, noisy = 0, pooled = 0, straddle = 0, row16 = 0,
       fc_row16 = 0, mixed = 0, dynamic_split = 0, banded = 0, odd_width = 0;
   int kernels[8] = {};
+  // Classifiers on the row-scatter kernel: per lane width (8, 16, 32, 64),
+  // split, noisy, and the ones lowered to the scalar oracle.
+  int cls_lanes[4] = {}, cls_split = 0, cls_noisy = 0, cls_scalar = 0;
   constexpr int kTrials = 42;
   for (int trial = 0; trial < kTrials; ++trial) {
     // Every fourth trial makes stage 1 an FC stage over stage 0's whole
@@ -231,6 +310,7 @@ TEST(HiddenStage, PackedMatchesScalarOnRandomGeometries) {
                              : 1 + static_cast<int>(gen.below(11));
     const int input = fc1 ? 3 + static_cast<int>(gen.below(4)) + kernel0 - 1
                           : out1 + kernel1 - 1 + kernel0 - 1;
+    const int classes = 2 + static_cast<int>(cgen.below(63));
     quant::Topology topo;
     topo.name = "hidden-random";
     topo.input_size = input;
@@ -239,7 +319,7 @@ TEST(HiddenStage, PackedMatchesScalarOnRandomGeometries) {
                                           false}
                        : quant::StageSpec{quant::StageSpec::Kind::Conv,
                                           kernel1, cols, pool1},
-                   {quant::StageSpec::Kind::Fc, 0, 10, false}};
+                   {quant::StageSpec::Kind::Fc, 0, classes, false}};
     nn::Network net = workloads::build_float_network(topo, gen());
     quant::QNetwork qnet = quant::build_qnetwork(net, topo);
     qnet.layers[0].threshold = static_cast<float>(gen.uniform(-0.2, 0.2));
@@ -267,8 +347,14 @@ TEST(HiddenStage, PackedMatchesScalarOnRandomGeometries) {
       for (float& t : m.col_threshold) t *= 4096.0f;
       m.mean_abs_eff *= 4096.0f;
       hw.rebuild_packed(1);
-      hw.rebuild_plan();
     }
+    core::MappedLayer& cl = hw.layer(2);
+    resplit_blocks(cl,
+                   1 + static_cast<int>(cgen.below(static_cast<std::uint64_t>(
+                           std::min(core::kRowMaxBlocks, cl.geom.rows)))),
+                   cgen.below(2) == 0);
+    hw.rebuild_packed(2);
+    hw.rebuild_plan();
     hw.set_skip_bounds(std::vector<int>(static_cast<std::size_t>(
                                             hw.stage_count()),
                                         0));
@@ -280,54 +366,40 @@ TEST(HiddenStage, PackedMatchesScalarOnRandomGeometries) {
                  std::to_string(m.block_count) + " sigma " +
                  std::to_string(cfg.device.read_noise_sigma) + " beta " +
                  std::to_string(m.dyn_beta) + (scale ? " scaled" : "") +
-                 (pool1 ? " pooled" : "") + (fc1 ? " fc" : ""));
+                 (pool1 ? " pooled" : "") + (fc1 ? " fc" : "") +
+                 "; classifier rows " + std::to_string(cl.geom.rows) +
+                 " cols " + std::to_string(classes) + " k " +
+                 std::to_string(cl.block_count));
     // A copy: set_packed_eval below rebuilds the plan.
     const core::StageOp op = hw.plan().ops[1];
-    ASSERT_EQ(op.engine, core::StageEngine::kPackedBits);
     ASSERT_LE(m.block_count, core::kRowMaxBlocks);
     EXPECT_EQ(m.packed.rows_ok, !scale);
-    EXPECT_EQ(op.packed_kernel, scale ? core::PackedKernel::kGeneric
+    EXPECT_EQ(op.engine, scale ? core::StageEngine::kScalarBits
+                               : core::StageEngine::kPackedBits);
+    EXPECT_EQ(op.packed_kernel, scale ? core::PackedKernel::kNone
                                       : core::PackedKernel::kRow16Cmp);
-
-    data::Dataset d;
-    const int n = 12;
-    d.images = nn::Tensor({n, input, input, 1});
-    for (float& v : d.images.flat())
-      v = gen.below(3) == 0 ? 0.0f : static_cast<float>(gen.uniform(0.0, 1.0));
-    std::vector<int> pred[2];
-    std::vector<std::uint64_t> rows[2];
-    std::vector<std::int64_t> hist[2];
-    for (int p = 0; p < 2; ++p) {
-      hw.set_packed_eval(p == 0);
-      core::EvalContext ctx;
-      std::vector<core::EvalContext::StageActivity> act(
-          static_cast<std::size_t>(hw.stage_count()));
-      ctx.activity = act.data();
-      ctx.meter = &probe;
-      for (int i = 0; i < n; ++i) {
-        telemetry::EnergyAccum e;
-        ctx.energy = &e;
-        const std::size_t px = static_cast<std::size_t>(input) * input;
-        pred[p].push_back(hw.predict(
-            {d.images.data() + static_cast<std::size_t>(i) * px, px}, ctx, i));
-        rows[p].push_back(e.events.cell_activations);
-        rows[p].push_back(e.events.driver_ops);
-      }
-      for (const auto& a : act) {
-        hist[p].insert(hist[p].end(), std::begin(a.hist), std::end(a.hist));
-        hist[p].push_back(a.rows_active);
-        hist[p].push_back(a.words_skipped);
-      }
+    const core::StageOp& cl_op = hw.plan().ops[2];
+    ASSERT_EQ(cl_op.engine, classifier_fits(cl)
+                                ? core::StageEngine::kPackedBits
+                                : core::StageEngine::kScalarBits);
+    if (cl_op.engine == core::StageEngine::kPackedBits) {
+      ++cls_lanes[std::countr_zero(
+          static_cast<unsigned>(cl_op.scatter.lanes)) - 3];
+      cls_split += cl.block_count > 1;
+      cls_noisy += cfg.device.read_noise_sigma > 0.0;
+    } else {
+      ++cls_scalar;
     }
-    EXPECT_EQ(pred[0], pred[1]);
-    EXPECT_EQ(rows[0], rows[1]);
-    EXPECT_EQ(hist[0], hist[1]);
+
+    const data::Dataset d = random_images(gen, 12, input);
+    const ProbeRun run = expect_plans_agree(hw, d, probe);
     if constexpr (telemetry::kEnabled) {
       // Stage 1's rows driven are its active window rows, which the
-      // activity histogram counts independently of either kernel.
+      // activity histogram counts independently of either engine.
       std::uint64_t stage1 = 0;
-      for (std::size_t i = 0; i < rows[0].size(); i += 2) stage1 += rows[0][i];
-      EXPECT_EQ(static_cast<std::int64_t>(stage1), hist[0][11 + 13]);
+      for (std::size_t i = 0; i < run.rows.size(); i += 2)
+        stage1 += run.rows[i];
+      EXPECT_EQ(static_cast<std::int64_t>(stage1), run.hist[11 + 13]);
     }
     // Stage 1's output bits themselves, and that they are not constant.
     hw.set_packed_eval(true);
@@ -367,11 +439,65 @@ TEST(HiddenStage, PackedMatchesScalarOnRandomGeometries) {
   EXPECT_GT(odd_width, 0);
   for (int kk = 1; kk <= 7; ++kk) EXPECT_GT(kernels[kk], 0) << "kernel " << kk;
   EXPECT_GT(mixed, kTrials * 3 / 4);  // most trials' compares bite both ways
-  std::printf("hidden-stage sweep: %d split, %d dynamic split, %d generic, "
-              "%d noisy, %d pooled, %d straddling, %d row-scatter FC, "
-              "%d banded, %d odd widths, %d mixed of %d\n",
+  for (int l = 0; l < 4; ++l)
+    EXPECT_GT(cls_lanes[l], 0) << "classifier lanes " << (8 << l);
+  EXPECT_GT(cls_split, 0);
+  EXPECT_GT(cls_noisy, 0);
+  EXPECT_LT(cls_noisy, kTrials - cls_scalar);
+  std::printf("hidden-stage sweep: %d split, %d dynamic split, %d scalar "
+              "(!rows_ok), %d noisy, %d pooled, %d straddling, %d row-scatter "
+              "FC, %d banded, %d odd widths, %d mixed of %d; classifiers: "
+              "%d/%d/%d/%d at 8/16/32/64 lanes, %d split, %d noisy, %d "
+              "scalar\n",
               split, dynamic_split, wide, noisy, pooled, straddle, fc_row16,
-              banded, odd_width, mixed, kTrials);
+              banded, odd_width, mixed, kTrials, cls_lanes[0], cls_lanes[1],
+              cls_lanes[2], cls_lanes[3], cls_split, cls_noisy, cls_scalar);
+
+  // Classifiers past the kernel's limits lower to the scalar oracle in the
+  // packed plan too, and still match; a one-position conv classifier runs
+  // the kernel. The base network: a 4×4×8 map into a 128-row classifier.
+  enum class Edge { kWide, kManyBlocks, kNoRowTable, kMultiPosition, kConv1x1 };
+  for (const Edge edge : {Edge::kWide, Edge::kManyBlocks, Edge::kNoRowTable,
+                          Edge::kMultiPosition, Edge::kConv1x1}) {
+    for (const double sigma : {0.0, 0.05}) {
+      quant::StageSpec classifier{quant::StageSpec::Kind::Fc, 0, 10, false};
+      if (edge == Edge::kWide) classifier.out_channels = 80;
+      if (edge == Edge::kMultiPosition)
+        classifier = {quant::StageSpec::Kind::Conv, 3, 10, false};
+      if (edge == Edge::kConv1x1)
+        classifier = {quant::StageSpec::Kind::Conv, 4, 10, false};
+      quant::Topology topo;
+      topo.name = "classifier-edge";
+      topo.input_size = 8;
+      topo.stages = {{quant::StageSpec::Kind::Conv, 3, 4, false},
+                     {quant::StageSpec::Kind::Conv, 3, 8, false},
+                     classifier};
+      nn::Network net = workloads::build_float_network(topo, 31);
+      quant::QNetwork qnet = quant::build_qnetwork(net, topo);
+      qnet.layers[0].threshold = 0.05f;
+      core::HardwareConfig cfg;
+      cfg.device.read_noise_sigma = sigma;
+      core::SeiNetwork hw(qnet, cfg);
+      core::MappedLayer& cl = hw.layer(2);
+      if (edge == Edge::kManyBlocks) {
+        resplit_blocks(cl, 100, true);
+        hw.rebuild_packed(2);
+      }
+      if (edge == Edge::kNoRowTable) {
+        for (float& w : cl.eff) w *= 4096.0f;
+        hw.rebuild_packed(2);
+        EXPECT_FALSE(cl.packed.rows_ok);
+      }
+      hw.set_skip_bounds(std::vector<int>(3, 0));
+      SCOPED_TRACE("edge " + std::to_string(static_cast<int>(edge)) +
+                   " sigma " + std::to_string(sigma));
+      EXPECT_EQ(hw.plan().ops[2].engine,
+                edge == Edge::kConv1x1 ? core::StageEngine::kPackedBits
+                                       : core::StageEngine::kScalarBits);
+      EXPECT_EQ(hw.plan().ops[1].engine, core::StageEngine::kPackedBits);
+      expect_plans_agree(hw, random_images(gen, 12, topo.input_size), probe);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

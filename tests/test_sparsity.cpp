@@ -192,14 +192,13 @@ TEST(Sparsity, EnginesAgreeOnNonIntegralFallback) {
 }
 
 TEST(Sparsity, RowBilledEnergyMatchesAcrossPackedKernels) {
-  // Every packed sub-kernel counts driven rows its own way (the lengths of
-  // the per-block active-row lists in kRow16Cmp, Σ n_active in kGeneric).
-  // Each must bill what the scalar oracle bills. network2's single-block
-  // hidden conv runs kRow16Cmp, noise-free and under read noise; its
-  // classifier always runs kGeneric. Scaling the hidden weights 4096×
-  // overflows the int16 row table, which moves the hidden conv to kGeneric.
+  // The row-scatter kernel counts driven rows as the taps it walks, the
+  // scalar oracle as Σ n_active per position; each must bill what the
+  // all-scalar plan bills. network2's single-block hidden conv and its
+  // classifier run kRow16Cmp, noise-free and under read noise. Scaling the
+  // hidden weights 4096× overflows the int16 row table, which lowers the
+  // hidden conv to the scalar oracle between two packed stages.
   Fixture& f = fixture();
-  std::vector<core::PackedKernel> seen;
   struct Variant {
     const char* tag;
     double noise;
@@ -212,7 +211,8 @@ TEST(Sparsity, RowBilledEnergyMatchesAcrossPackedKernels) {
     cfg.device.read_noise_sigma = v.noise;
     core::SeiNetwork hw(f.qnet, cfg);
     SCOPED_TRACE(v.tag);
-    if (v.scale != 1.0f) {
+    const bool wide = v.scale != 1.0f;
+    if (wide) {
       core::MappedLayer& m = hw.layer(1);
       for (float& w : m.eff) w *= v.scale;
       for (float& t : m.col_threshold) t *= v.scale;
@@ -221,19 +221,14 @@ TEST(Sparsity, RowBilledEnergyMatchesAcrossPackedKernels) {
       hw.rebuild_plan();
       ASSERT_FALSE(m.packed.rows_ok);
     }
-    EXPECT_EQ(hw.plan().ops[1].packed_kernel,
-              v.scale == 1.0f ? core::PackedKernel::kRow16Cmp
-                              : core::PackedKernel::kGeneric);
-    ASSERT_EQ(hw.packed_stage_count(), hw.stage_count());
-    for (const core::StageOp& op : hw.plan().ops)
-      seen.push_back(op.packed_kernel);
+    const std::vector<core::StageOp>& ops = hw.plan().ops;
+    ASSERT_EQ(ops.size(), 3u);
+    EXPECT_EQ(ops[1].engine, wide ? core::StageEngine::kScalarBits
+                                  : core::StageEngine::kPackedBits);
+    EXPECT_EQ(ops[2].packed_kernel, core::PackedKernel::kRow16Cmp);
+    ASSERT_EQ(hw.packed_stage_count(), hw.stage_count() - (wide ? 1 : 0));
     expect_row_billed_engines_agree(f.qnet, hw, f.test, 60);
   }
-  const auto has = [&](core::PackedKernel k) {
-    return std::find(seen.begin(), seen.end(), k) != seen.end();
-  };
-  EXPECT_TRUE(has(core::PackedKernel::kGeneric));
-  EXPECT_TRUE(has(core::PackedKernel::kRow16Cmp));
 }
 
 TEST(Sparsity, PlanResolvesBoundPolicy) {
