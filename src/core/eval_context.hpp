@@ -127,9 +127,13 @@ struct EvalContext {
   Scratch<double> thresholds;  // k·cols block_thresholds
 
   /// Binds every scratch buffer to `plan`'s exact bounds: one arena
-  /// allocation, spans carved out, vectors reserved. Defined in
-  /// core/plan.cpp.
+  /// allocation, spans carved out in the order of the scratch list, vectors
+  /// reserved. Defined in core/plan.cpp, next to that list.
   void bind(const ScratchPlan& plan);
+
+  /// Bytes the last bind() carved: plan.arena_bytes when every span got
+  /// its carve (none fell back to owned storage).
+  std::size_t arena_carved() const { return arena_.used(); }
 
   /// True when the bounds this context was last bound with cover `plan` —
   /// i.e. every buffer's capacity suffices, so evaluation will not allocate.

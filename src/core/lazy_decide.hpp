@@ -39,8 +39,10 @@ struct ReadNoise {
   double sigma = 0.0;
   std::uint64_t key = 0;  // SeiNetwork::read_key(image, stage)
 
-  /// Read `index` of `current`: noisy_read with keyed draw `index`.
+  /// Read `index` of `current`: noisy_read with keyed draw `index`, or the
+  /// raw current when the network reads noise-free (sigma ≤ 0).
   double read(double current, std::uint64_t index) const {
+    if (sigma <= 0.0) return current;
     return noisy_read(current, sigma, keyed_gaussian(key, index));
   }
 };

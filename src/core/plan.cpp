@@ -1,7 +1,9 @@
 #include "core/plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <tuple>
 
 #include "core/eval_context.hpp"
 
@@ -165,73 +167,92 @@ StageEngine select_engine(const MappedLayer& m, int stage, bool packed_eval) {
              : StageEngine::kScalarBits;
 }
 
+/// One arena-carved EvalContext buffer and the ScratchPlan count that
+/// sizes it; the element type comes from the span.
 template <typename T>
-std::size_t span_bytes(std::size_t count) {
-  return Arena::aligned(count * sizeof(T));
+struct ArenaBuffer {
+  std::size_t ScratchPlan::*count;
+  Scratch<T> EvalContext::*span;
+
+  /// The span's share of plan `p`'s arena, 64B-aligned.
+  std::size_t bytes(const ScratchPlan& p) const {
+    return Arena::aligned(p.*count * sizeof(T));
+  }
+};
+template <typename T>
+ArenaBuffer(std::size_t ScratchPlan::*, Scratch<T> EvalContext::*)
+    -> ArenaBuffer<T>;
+
+/// The scratch list, in carve order. finalize sums these spans and bind
+/// carves them in the same walk, so the last carve exactly exhausts the
+/// arena; merge and covers walk it too (kBounds).
+constexpr std::tuple kArenaBuffers{
+    ArenaBuffer{&ScratchPlan::block_sums, &EvalContext::block_sums},
+    ArenaBuffer{&ScratchPlan::n_active, &EvalContext::n_active},
+    ArenaBuffer{&ScratchPlan::plane_sums, &EvalContext::plane_sums},
+    ArenaBuffer{&ScratchPlan::merged, &EvalContext::merged},
+    ArenaBuffer{&ScratchPlan::window, &EvalContext::window},
+    ArenaBuffer{&ScratchPlan::dac_vals, &EvalContext::dac_vals},
+    ArenaBuffer{&ScratchPlan::dac_d, &EvalContext::dac_d},
+    ArenaBuffer{&ScratchPlan::tile_w, &EvalContext::tile_w},
+    ArenaBuffer{&ScratchPlan::col_open, &EvalContext::col_open},
+    ArenaBuffer{&ScratchPlan::open_sums, &EvalContext::open_sums},
+    ArenaBuffer{&ScratchPlan::col_cmp, &EvalContext::col_cmp},
+    ArenaBuffer{&ScratchPlan::col_pool, &EvalContext::col_pool},
+    ArenaBuffer{&ScratchPlan::row_acc, &EvalContext::row_acc},
+    ArenaBuffer{&ScratchPlan::row_cnt, &EvalContext::row_cnt},
+    ArenaBuffer{&ScratchPlan::row_ref, &EvalContext::row_ref},
+    ArenaBuffer{&ScratchPlan::thresholds, &EvalContext::thresholds},
+};
+
+template <typename Fn>
+void for_each_arena_buffer(Fn&& fn) {
+  std::apply([&](const auto&... b) { (fn(b), ...); }, kArenaBuffers);
 }
+
+/// Every bound merge and covers fold: the list's counts, then the three
+/// reserves bind puts on the swap-rotated vectors.
+constexpr auto kBounds = std::apply(
+    [](const auto&... b) {
+      return std::array{b.count..., &ScratchPlan::scores,
+                        &ScratchPlan::bitmap_bytes,
+                        &ScratchPlan::packed_words};
+    },
+    kArenaBuffers);
+
+// A count added to ScratchPlan but not to the list fails here: the struct
+// holds the listed counts plus scores, bitmap_bytes, packed_words and
+// arena_bytes.
+static_assert(sizeof(ScratchPlan) ==
+              (std::tuple_size_v<decltype(kArenaBuffers)> + 4) *
+                  sizeof(std::size_t));
 
 }  // namespace
 
+std::span<std::size_t ScratchPlan::* const> ScratchPlan::bounds() {
+  return kBounds;
+}
+
 void ScratchPlan::merge(const ScratchPlan& o) {
-  block_sums = std::max(block_sums, o.block_sums);
-  n_active = std::max(n_active, o.n_active);
-  plane_sums = std::max(plane_sums, o.plane_sums);
-  merged = std::max(merged, o.merged);
-  window = std::max(window, o.window);
-  dac_vals = std::max(dac_vals, o.dac_vals);
-  dac_d = std::max(dac_d, o.dac_d);
-  tile_w = std::max(tile_w, o.tile_w);
-  col_open = std::max(col_open, o.col_open);
-  open_sums = std::max(open_sums, o.open_sums);
-  col_cmp = std::max(col_cmp, o.col_cmp);
-  col_pool = std::max(col_pool, o.col_pool);
-  row_acc = std::max(row_acc, o.row_acc);
-  row_cnt = std::max(row_cnt, o.row_cnt);
-  row_ref = std::max(row_ref, o.row_ref);
-  thresholds = std::max(thresholds, o.thresholds);
-  scores = std::max(scores, o.scores);
-  bitmap_bytes = std::max(bitmap_bytes, o.bitmap_bytes);
-  packed_words = std::max(packed_words, o.packed_words);
+  for (const auto b : kBounds) this->*b = std::max(this->*b, o.*b);
   finalize();
 }
 
 bool ScratchPlan::covers(const ScratchPlan& o) const {
-  return block_sums >= o.block_sums && n_active >= o.n_active &&
-         plane_sums >= o.plane_sums && merged >= o.merged &&
-         window >= o.window && dac_vals >= o.dac_vals && dac_d >= o.dac_d &&
-         tile_w >= o.tile_w &&
-         col_open >= o.col_open && open_sums >= o.open_sums &&
-         col_cmp >= o.col_cmp &&
-         col_pool >= o.col_pool && row_acc >= o.row_acc &&
-         row_cnt >= o.row_cnt && row_ref >= o.row_ref &&
-         thresholds >= o.thresholds &&
-         scores >= o.scores && bitmap_bytes >= o.bitmap_bytes &&
-         packed_words >= o.packed_words;
+  return std::all_of(kBounds.begin(), kBounds.end(),
+                     [&](const auto b) { return this->*b >= o.*b; });
 }
 
 void ScratchPlan::finalize() {
-  arena_bytes = span_bytes<double>(block_sums) + span_bytes<int>(n_active) +
-                span_bytes<double>(plane_sums) + span_bytes<double>(merged) +
-                span_bytes<std::uint64_t>(window) +
-                span_bytes<float>(dac_vals) + span_bytes<double>(dac_d) +
-                span_bytes<double>(tile_w) +
-                span_bytes<std::uint64_t>(col_open) +
-                span_bytes<double>(open_sums) +
-                span_bytes<std::uint64_t>(col_cmp) +
-                span_bytes<std::uint64_t>(col_pool) +
-                span_bytes<std::int16_t>(row_acc) +
-                span_bytes<std::int32_t>(row_cnt) +
-                span_bytes<std::int16_t>(row_ref) +
-                span_bytes<double>(thresholds);
+  arena_bytes = 0;
+  for_each_arena_buffer([&](const auto& b) { arena_bytes += b.bytes(*this); });
 }
 
 CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
                           const HardwareConfig& cfg, bool packed_eval,
-                          const telemetry::EnergyMeter* meter,
                           bool row_billing) {
   CompiledPlan plan;
   plan.ops.reserve(layers.size());
-  plan.priced_for = meter;
   ActForm live = ActForm::kImage;
   for (std::size_t i = 0; i < layers.size(); ++i) {
     const MappedLayer& m = layers[i];
@@ -281,10 +302,6 @@ CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
     // stage 0 is DAC-driven through resistor ladders, its rows have no
     // transmission gates to switch off.
     if (row_billing && op.stage > 0) op.skip_bound = 0;
-    if (meter && i < meter->stage_count()) {
-      op.price = meter->stage(i);
-      op.priced = true;
-    }
     bound_stage(m, op.stage, cfg.device.read_noise_sigma > 0.0, plan.scratch);
     plan.ops.push_back(op);
   }
@@ -294,24 +311,8 @@ CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
 
 void EvalContext::bind(const ScratchPlan& plan) {
   arena_.reset(plan.arena_bytes);
-  // Carve order is fixed and mirrors ScratchPlan::finalize — the last carve
-  // exactly exhausts the arena.
-  block_sums.bind(arena_, plan.block_sums);
-  n_active.bind(arena_, plan.n_active);
-  plane_sums.bind(arena_, plan.plane_sums);
-  merged.bind(arena_, plan.merged);
-  window.bind(arena_, plan.window);
-  dac_vals.bind(arena_, plan.dac_vals);
-  dac_d.bind(arena_, plan.dac_d);
-  tile_w.bind(arena_, plan.tile_w);
-  col_open.bind(arena_, plan.col_open);
-  open_sums.bind(arena_, plan.open_sums);
-  col_cmp.bind(arena_, plan.col_cmp);
-  col_pool.bind(arena_, plan.col_pool);
-  row_acc.bind(arena_, plan.row_acc);
-  row_cnt.bind(arena_, plan.row_cnt);
-  row_ref.bind(arena_, plan.row_ref);
-  thresholds.bind(arena_, plan.thresholds);
+  for_each_arena_buffer(
+      [&](const auto& b) { (this->*b.span).bind(arena_, plan.*b.count); });
   // Swap-rotated buffers: every one of the trio can hold any stage's
   // largest map, so all reserve the shared bound.
   stage_bits.reserve(plan.bitmap_bytes);

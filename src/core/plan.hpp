@@ -13,7 +13,6 @@
 //    every other stage the scalar reference,
 //  * explicit activation-form converts (bytes ↔ packed words) inserted at
 //    the stage boundaries that need them,
-//  * per-stage energy prices baked in from the attached meter,
 //  * and an exact ScratchPlan: the high-water size of every EvalContext
 //    buffer plus the total arena footprint, so a context binds to the plan
 //    with ONE arena allocation and serves requests with zero heap traffic.
@@ -25,11 +24,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/mapping.hpp"
 #include "core/structure.hpp"
-#include "telemetry/energy.hpp"
 
 namespace sei::core {
 
@@ -137,14 +136,6 @@ struct StageOp {
   // (DAC-driven, no transmission gates). The kernels run the same dense
   // code either way.
   int skip_bound = -1;
-
-  // Baked per-stage energy price (valid when `priced`): the executor
-  // charges these numbers directly instead of chasing the meter's stage
-  // table per request. CompiledPlan::priced_for records which meter the
-  // prices came from — a context metering against a different meter falls
-  // back to EnergyMeter::charge_stage.
-  telemetry::StageEnergy price;
-  bool priced = false;
 };
 
 /// Exact high-water element counts of every EvalContext scratch buffer for
@@ -183,6 +174,11 @@ struct ScratchPlan {
   /// True when every bound of `o` fits inside this plan's bounds — i.e. a
   /// context bound with *this* serves *o*'s network without allocating.
   bool covers(const ScratchPlan& o) const;
+
+  /// Every bound above but arena_bytes: the arena-carved counts in carve
+  /// order, then scores, bitmap_bytes and packed_words. merge and covers
+  /// walk exactly these (the one scratch list lives in core/plan.cpp).
+  static std::span<std::size_t ScratchPlan::* const> bounds();
 };
 
 /// The lowered program: flat ops + scratch bounds + a rebuild epoch.
@@ -192,19 +188,15 @@ struct CompiledPlan {
   /// Bumped by SeiNetwork on every rebuild (remap, fault, restore, engine
   /// switch) so bound contexts detect staleness and re-bind.
   std::uint64_t epoch = 0;
-  /// Meter the baked prices were taken from (nullptr: unpriced plan).
-  const telemetry::EnergyMeter* priced_for = nullptr;
 
   bool valid() const { return !ops.empty(); }
 };
 
-/// Lowers the mapped network into a CompiledPlan. `meter` (optional) bakes
-/// per-stage prices; epoch is left at 0 — the owner stamps it.
-/// `row_billing` sets skip_bound 0 on every hidden/classifier op (stage 0
-/// stays -1); off leaves every op at -1.
+/// Lowers the mapped network into a CompiledPlan; epoch is left at 0 — the
+/// owner stamps it. `row_billing` sets skip_bound 0 on every
+/// hidden/classifier op (stage 0 stays -1); off leaves every op at -1.
 CompiledPlan compile_plan(const std::vector<MappedLayer>& layers,
                           const HardwareConfig& cfg, bool packed_eval,
-                          const telemetry::EnergyMeter* meter = nullptr,
                           bool row_billing = false);
 
 }  // namespace sei::core

@@ -53,14 +53,19 @@ void record_activity(int rows, const std::uint64_t* window,
                                       const double* block_sums, int cols,
                                       int k, int c, std::uint64_t first_read) {
   double s = 0.0;
-  for (int b = 0; b < k; ++b) {
-    const double raw = block_sums[static_cast<std::size_t>(b) * cols + c];
-    s += noise.sigma > 0.0
-             ? noise.read(raw, first_read + static_cast<std::uint64_t>(c) * k +
-                                   static_cast<std::uint64_t>(b))
-             : raw;
-  }
+  for (int b = 0; b < k; ++b)
+    s += noise.read(block_sums[static_cast<std::size_t>(b) * cols + c],
+                    first_read + static_cast<std::uint64_t>(c) * k +
+                        static_cast<std::uint64_t>(b));
   return s;
+}
+
+/// Image `i` of `d`, the input of a batch pass that starts at stage 0.
+std::span<const float> image_at(const data::Dataset& d, int i) {
+  const std::size_t per_image =
+      d.images.numel() / static_cast<std::size_t>(d.size());
+  return {d.images.data() + static_cast<std::size_t>(i) * per_image,
+          per_image};
 }
 
 }  // namespace
@@ -99,7 +104,7 @@ void SeiNetwork::rebuild_packed(int stage) {
 }
 
 void SeiNetwork::rebuild_plan() {
-  plan_ = compile_plan(layers_, cfg_, packed_eval_, meter_, row_billing_);
+  plan_ = compile_plan(layers_, cfg_, packed_eval_, row_billing_);
   plan_.epoch = ++plan_epoch_;
 }
 
@@ -123,12 +128,6 @@ std::uint64_t SeiNetwork::read_key(long long image_index, int stage) const {
       static_cast<std::uint64_t>(stage));
 }
 
-double SeiNetwork::readout(double current, const ReadNoise& noise,
-                           std::uint64_t index) const {
-  if (noise.sigma <= 0.0) return current;
-  return noise.read(current, index);
-}
-
 void SeiNetwork::decide_position(const MappedLayer& m,
                                  const double* block_sums,
                                  const int* n_active, std::uint8_t* out_bits,
@@ -139,8 +138,8 @@ void SeiNetwork::decide_position(const MappedLayer& m,
   const float* offsets = m.sa_offset.empty() ? nullptr : m.sa_offset.data();
   if (k == 1) {
     for (int c = 0; c < cols; ++c) {
-      const double sum = readout(block_sums[c], noise,
-                                 first_read + static_cast<std::uint64_t>(c));
+      const double sum =
+          noise.read(block_sums[c], first_read + static_cast<std::uint64_t>(c));
       const double ref =
           static_cast<double>(m.col_threshold[static_cast<std::size_t>(c)]) +
           (offsets ? offsets[c] : 0.0);
@@ -163,26 +162,32 @@ void SeiNetwork::decide_position(const MappedLayer& m,
           share, beta_scale, static_cast<double>(n_active[b]) - mean_active,
           offsets ? offsets[static_cast<std::size_t>(b) * cols + c] : 0.0);
       const double raw = block_sums[static_cast<std::size_t>(b) * cols + c];
-      if (readout(raw, noise, read) > t_b) ++votes;
+      if (noise.read(raw, read) > t_b) ++votes;
     }
     out_bits[c] = votes >= m.vote_threshold ? 1 : 0;
   }
 }
 
-void SeiNetwork::eval_stage_bits(const MappedLayer& m, const quant::BitMap& in,
-                                 quant::BitMap& bits_out,
-                                 std::vector<float>& scores,
-                                 EvalContext& ctx) const {
+// Out of line, as a stage function: inlined into run_plan's dispatch, the
+// two instantiations' loops measured slower.
+template <typename In>
+[[gnu::noinline]] void SeiNetwork::eval_stage_scalar(const MappedLayer& m, const In& in,
+                                   quant::BitMap& bits_out,
+                                   std::vector<float>& scores,
+                                   EvalContext& ctx) const {
+  // A byte map selects rows (1-bit inputs); the image drives them through
+  // the DAC. Only the drive of a row differs.
+  constexpr bool kBits = std::is_same_v<In, quant::BitMap>;
   const quant::StageGeometry& g = m.geom;
   SEI_CHECK(in.size() == static_cast<std::size_t>(g.in_h) * g.in_w * g.in_ch);
   const int cols = g.cols, k = m.block_count;
-  ctx.rows_driven = 0;
+  if constexpr (kBits) ctx.rows_driven = 0;
   // Sized once here, zeroed per position below (they start each position
   // dirty with the previous position's sums).
   ctx.block_sums.resize(static_cast<std::size_t>(k) * cols);
   ctx.n_active.resize(static_cast<std::size_t>(k));
   // The activity histogram reads a packed copy of each position's window.
-  EvalContext::StageActivity* act = ctx.cur_activity;
+  EvalContext::StageActivity* const act = kBits ? ctx.cur_activity : nullptr;
   if (act) ctx.window.resize((static_cast<std::size_t>(g.rows) + 63) / 64);
 
   const std::size_t positions = static_cast<std::size_t>(g.out_h) * g.out_w;
@@ -199,92 +204,41 @@ void SeiNetwork::eval_stage_bits(const MappedLayer& m, const quant::BitMap& in,
       if (act) std::fill(ctx.window.begin(), ctx.window.end(), 0);
       const int window_rows = is_conv ? g.kernel : 1;
       for (int di = 0; di < window_rows; ++di) {
-        const std::uint8_t* in_px =
+        const auto* in_px =
             is_conv ? in.data() + (static_cast<std::size_t>(y + di) * g.in_w +
                                    x) * g.in_ch
                     : in.data();
         const int r0 = di * span;
         for (int t = 0; t < span; ++t) {
-          if (!in_px[t]) continue;
           const int r = r0 + t;
-          if (act)
-            ctx.window[static_cast<std::size_t>(r) >> 6] |=
-                std::uint64_t{1} << (r & 63);
+          float xq = 0.0f;  // DAC level of an image input
+          if constexpr (kBits) {
+            if (!in_px[t]) continue;
+            if (act)
+              ctx.window[static_cast<std::size_t>(r) >> 6] |=
+                  std::uint64_t{1} << (r & 63);
+          } else {
+            xq = dac_quantize(in_px[t], cfg_.input_bits);
+            if (xq == 0.0f) continue;
+          }
           const int b = m.row_to_block[static_cast<std::size_t>(r)];
           ++ctx.n_active[static_cast<std::size_t>(b)];
           const float* wrow =
               m.eff.data() + static_cast<std::size_t>(r) * cols;
           double* sums = ctx.block_sums.data() +
                          static_cast<std::size_t>(b) * cols;
-          for (int c = 0; c < cols; ++c) sums[c] += wrow[c];
+          if constexpr (kBits) {
+            for (int c = 0; c < cols; ++c) sums[c] += wrow[c];
+          } else {
+            for (int c = 0; c < cols; ++c)
+              sums[c] += static_cast<double>(xq) * wrow[c];
+          }
         }
       }
-      for (int b = 0; b < k; ++b)
-        ctx.rows_driven += ctx.n_active[static_cast<std::size_t>(b)];
+      if constexpr (kBits)
+        for (int b = 0; b < k; ++b)
+          ctx.rows_driven += ctx.n_active[static_cast<std::size_t>(b)];
       if (act) record_activity(g.rows, ctx.window.data(), *act);
-      const std::size_t pos = static_cast<std::size_t>(y) * g.out_w + x;
-      const std::uint64_t first_read = pos * cols * k;
-      if (m.binarize) {
-        decide_position(m, ctx.block_sums.data(), ctx.n_active.data(),
-                        ctx.stage_bits.data() + pos * cols, ctx.noise,
-                        first_read);
-      } else {
-        merge_classifier(m, scores, ctx, first_read);
-      }
-    }
-  }
-
-  if (m.binarize) {
-    if (g.pool_after)
-      or_pool_bytes(ctx.stage_bits, g.out_h, g.out_w, cols, bits_out);
-    else
-      bits_out = ctx.stage_bits;
-  }
-}
-
-void SeiNetwork::eval_stage_float(const MappedLayer& m,
-                                  std::span<const float> in,
-                                  quant::BitMap& bits_out,
-                                  std::vector<float>& scores,
-                                  EvalContext& ctx) const {
-  const quant::StageGeometry& g = m.geom;
-  SEI_CHECK(in.size() == static_cast<std::size_t>(g.in_h) * g.in_w * g.in_ch);
-  const int cols = g.cols, k = m.block_count;
-  ctx.block_sums.resize(static_cast<std::size_t>(k) * cols);
-  ctx.n_active.resize(static_cast<std::size_t>(k));
-
-  const std::size_t positions = static_cast<std::size_t>(g.out_h) * g.out_w;
-  if (m.binarize) ctx.stage_bits.assign(positions * cols, 0);
-  else scores.assign(static_cast<std::size_t>(cols), 0.0f);
-
-  const bool is_conv = g.kind == quant::StageSpec::Kind::Conv;
-  const int span = is_conv ? g.kernel * g.in_ch : g.rows;
-
-  for (int y = 0; y < g.out_h; ++y) {
-    for (int x = 0; x < g.out_w; ++x) {
-      std::fill(ctx.block_sums.begin(), ctx.block_sums.end(), 0.0);
-      std::fill(ctx.n_active.begin(), ctx.n_active.end(), 0);
-      const int window_rows = is_conv ? g.kernel : 1;
-      for (int di = 0; di < window_rows; ++di) {
-        const float* in_px =
-            is_conv ? in.data() + (static_cast<std::size_t>(y + di) * g.in_w +
-                                   x) * g.in_ch
-                    : in.data();
-        const int r0 = di * span;
-        for (int t = 0; t < span; ++t) {
-          const float xq = dac_quantize(in_px[t], cfg_.input_bits);
-          if (xq == 0.0f) continue;
-          const int r = r0 + t;
-          const int b = m.row_to_block[static_cast<std::size_t>(r)];
-          ++ctx.n_active[static_cast<std::size_t>(b)];
-          const float* wrow =
-              m.eff.data() + static_cast<std::size_t>(r) * cols;
-          double* sums = ctx.block_sums.data() +
-                         static_cast<std::size_t>(b) * cols;
-          for (int c = 0; c < cols; ++c)
-            sums[c] += static_cast<double>(xq) * wrow[c];
-        }
-      }
       const std::size_t pos = static_cast<std::size_t>(y) * g.out_w + x;
       const std::uint64_t first_read = pos * cols * k;
       if (m.binarize) {
@@ -1229,26 +1183,11 @@ Result<int> SeiNetwork::try_predict(std::span<const float> image,
 
 void SeiNetwork::charge(const StageOp& op, EvalContext& ctx) const {
   if (!ctx.meter || !ctx.energy) return;
-  if (op.skip_bound >= 0) {
-    // Activation-proportional charging: the baked uniform price cannot
-    // apply (energy varies per image), so the stage pays for the rows its
-    // engine reported driving.
-    ctx.meter->charge_stage_rows(static_cast<std::size_t>(op.stage),
-                                 ctx.rows_driven, *ctx.energy);
-    return;
-  }
-  if constexpr (telemetry::kEnabled) {
-    if (op.priced && ctx.meter == plan_.priced_for) {
-      // Baked price: two struct adds instead of chasing the meter's stage
-      // table. Same numbers — the price was copied from this meter at
-      // compile time.
-      ctx.energy->pj += op.price.pj;
-      ctx.energy->events += op.price.events;
-      ++ctx.energy->stages;
-      return;
-    }
-  }
-  ctx.meter->charge_stage(static_cast<std::size_t>(op.stage), *ctx.energy);
+  const auto stage = static_cast<std::size_t>(op.stage);
+  if (op.skip_bound >= 0)  // row billing: the rows the engine drove
+    ctx.meter->charge_stage_rows(stage, ctx.rows_driven, *ctx.energy);
+  else
+    ctx.meter->charge_stage(stage, *ctx.energy);
 }
 
 Result<int> SeiNetwork::run_plan(std::span<const float> image,
@@ -1277,17 +1216,17 @@ Result<int> SeiNetwork::run_plan(std::span<const float> image,
         eval_stage_dac(m, image, ctx.packed_pooled, ctx);
         std::swap(ctx.packed_bits, ctx.packed_pooled);
         break;
-      case StageEngine::kScalarFloat:
-        eval_stage_float(m, image, ctx.pooled_bits, ctx.scores, ctx);
-        if (!op.classifier) std::swap(ctx.bits, ctx.pooled_bits);
-        break;
       case StageEngine::kPackedBits:
         eval_stage_packed(op, m, ctx.packed_bits,
                           ctx.packed_pooled, ctx.scores, ctx);
         if (!op.classifier) std::swap(ctx.packed_bits, ctx.packed_pooled);
         break;
+      case StageEngine::kScalarFloat:
       case StageEngine::kScalarBits:
-        eval_stage_bits(m, ctx.bits, ctx.pooled_bits, ctx.scores, ctx);
+        if (op.in_form == ActForm::kImage)
+          eval_stage_scalar(m, image, ctx.pooled_bits, ctx.scores, ctx);
+        else
+          eval_stage_scalar(m, ctx.bits, ctx.pooled_bits, ctx.scores, ctx);
         if (!op.classifier) std::swap(ctx.bits, ctx.pooled_bits);
         break;
     }
@@ -1303,18 +1242,18 @@ Result<int> SeiNetwork::run_plan(std::span<const float> image,
   return -1;
 }
 
-double SeiNetwork::error_rate(const data::Dataset& d, int max_images) const {
-  const int n = max_images < 0 ? d.size() : std::min(max_images, d.size());
-  SEI_CHECK(n > 0);
-  const std::size_t per_image =
-      d.images.numel() / static_cast<std::size_t>(d.size());
-  // With sparsity on, energy varies per image — meter through the context
-  // so every stage charges its actual activated rows. Each image's energy
-  // is a pure function of (network, image, index) and publish_energy sums
-  // in femtojoule fixed point, so the chunk totals stay bit-identical at
-  // any thread count.
-  const bool meter_each = sparsity_enabled() && meter_ != nullptr;
-  const long long correct = exec::parallel_reduce<long long>(
+template <typename Input, typename Finish>
+long long SeiNetwork::run_batch(int n, std::size_t first, std::size_t last,
+                                Input&& input, Finish&& finish) const {
+  // With row billing, energy varies per image — meter through the context
+  // so every stage charges its actual driven rows. Each image's energy is a
+  // pure function of (network, image, index) and publish_energy sums in
+  // femtojoule fixed point, so the chunk totals stay bit-identical at any
+  // thread count. Dense chunks charge in bulk instead: every image costs
+  // the range's uniform price, so per-stage metering in the hot loop would
+  // only add stores.
+  const bool meter_each = row_billing_ && meter_ != nullptr;
+  return exec::parallel_reduce<long long>(
       n, exec::kEvalGrain, 0LL, [&](int lo, int hi) {
         EvalContext ctx;
         telemetry::EnergyAccum acc;
@@ -1322,28 +1261,33 @@ double SeiNetwork::error_rate(const data::Dataset& d, int max_images) const {
           ctx.meter = meter_;
           ctx.energy = &acc;
         }
+        prepare(ctx);
         long long c = 0;
-        for (int i = lo; i < hi; ++i) {
-          const std::span<const float> img{
-              d.images.data() + static_cast<std::size_t>(i) * per_image,
-              per_image};
-          if (predict(img, ctx, i) == d.labels[static_cast<std::size_t>(i)])
+        for (int i = lo; i < hi; ++i)
+          if (finish(i, run_plan(input(i, ctx), ctx, i, first, last).value(),
+                     ctx))
             ++c;
-        }
-        if (meter_each) {
-          telemetry::publish_energy(telemetry::MetricsRegistry::global(),
-                                    "sei_batch", acc);
-        } else if (meter_) {
-          // Dense batch chunks charge in bulk — every completed image
-          // costs the same whole-network price, so per-stage metering in
-          // the hot loop would only add stores.
+        if (!meter_) return c;
+        if (!meter_each) {
+          // Only a range that ends at the classifier completes inferences.
           const auto images = static_cast<std::uint64_t>(hi - lo);
-          meter_->charge_stages(0, meter_->stage_count(), images, acc);
-          acc.images = images;
-          telemetry::publish_energy(telemetry::MetricsRegistry::global(),
-                                    "sei_batch", acc);
+          meter_->charge_stages(first, last, images, acc);
+          if (plan_.ops[last - 1].classifier) acc.images = images;
         }
+        telemetry::publish_energy(telemetry::MetricsRegistry::global(),
+                                  "sei_batch", acc);
         return c;
+      });
+}
+
+double SeiNetwork::error_rate(const data::Dataset& d, int max_images) const {
+  const int n = max_images < 0 ? d.size() : std::min(max_images, d.size());
+  SEI_CHECK(n > 0);
+  const long long correct = run_batch(
+      n, 0, plan_.ops.size(),
+      [&](int i, EvalContext&) { return image_at(d, i); },
+      [&](int i, int pred, EvalContext&) {
+        return pred == d.labels[static_cast<std::size_t>(i)];
       });
   return 100.0 * (1.0 - static_cast<double>(correct) / n);
 }
@@ -1355,38 +1299,18 @@ std::vector<quant::BitMap> SeiNetwork::cache_stage_inputs(
   for (std::size_t s = 0; s < head; ++s)
     SEI_CHECK_MSG(!plan_.ops[s].classifier, "cannot cache past the classifier");
   const int n = max_images < 0 ? d.size() : std::min(max_images, d.size());
-  const std::size_t per_image =
-      d.images.numel() / static_cast<std::size_t>(d.size());
   std::vector<quant::BitMap> out(static_cast<std::size_t>(n));
-  const bool meter_each = sparsity_enabled() && meter_ != nullptr;
-  exec::parallel_for_chunks(n, exec::kEvalGrain, [&](int lo, int hi) {
-    EvalContext ctx;
-    telemetry::EnergyAccum acc;
-    if (meter_each) {  // each stage costs its actual driven rows
-      ctx.meter = meter_;
-      ctx.energy = &acc;
-    }
-    for (int i = lo; i < hi; ++i) {
-      const std::span<const float> img{
-          d.images.data() + static_cast<std::size_t>(i) * per_image,
-          per_image};
-      (void)run_plan(img, ctx, i, 0, head).value();
-      // The cache contract is byte maps; unpack clean 0/1 bytes if the
-      // last stage ran packed.
-      if (plan_.ops[head - 1].out_form == ActForm::kPacked)
-        quant::unpack_bits(ctx.packed_bits, ctx.bits);
-      out[static_cast<std::size_t>(i)] = ctx.bits;
-    }
-    // Partial evaluations (stages [0, stage) only): no image count —
-    // these are not full inferences. Dense networks charge in bulk.
-    if (!meter_each && meter_) {
-      meter_->charge_stages(0, head, static_cast<std::uint64_t>(hi - lo), acc);
-    }
-    if (meter_) {
-      telemetry::publish_energy(telemetry::MetricsRegistry::global(),
-                                "sei_batch", acc);
-    }
-  });
+  (void)run_batch(
+      n, 0, head,
+      [&](int i, EvalContext&) { return image_at(d, i); },
+      [&](int i, int, EvalContext& ctx) {
+        // The cache contract is byte maps; unpack clean 0/1 bytes if the
+        // last stage ran packed.
+        if (plan_.ops[head - 1].out_form == ActForm::kPacked)
+          quant::unpack_bits(ctx.packed_bits, ctx.bits);
+        out[static_cast<std::size_t>(i)] = ctx.bits;
+        return false;
+      });
   return out;
 }
 
@@ -1394,39 +1318,18 @@ double SeiNetwork::error_rate_from(
     const data::Dataset& d, int stage,
     const std::vector<quant::BitMap>& inputs) const {
   SEI_CHECK(stage >= 1 && stage < stage_count());
-  const auto tail = static_cast<std::size_t>(stage);
   const int n = static_cast<int>(inputs.size());
   SEI_CHECK(n > 0 && n <= d.size());
-  const bool meter_each = sparsity_enabled() && meter_ != nullptr;
-  const long long correct = exec::parallel_reduce<long long>(
-      n, exec::kEvalGrain, 0LL, [&](int lo, int hi) {
-        EvalContext ctx;
-        telemetry::EnergyAccum acc;
-        if (meter_each) {
-          ctx.meter = meter_;
-          ctx.energy = &acc;
-        }
-        long long c = 0;
-        for (int i = lo; i < hi; ++i) {
-          ctx.bits = inputs[static_cast<std::size_t>(i)];
-          // Same per-(image, stage) streams a full predict would use, so
-          // tail evaluation replays the identical noise draws.
-          const int pred =
-              run_plan({}, ctx, i, tail, plan_.ops.size()).value();
-          if (pred == d.labels[static_cast<std::size_t>(i)]) ++c;
-        }
-        // Tail evaluations run stages [stage, end) per image; dense
-        // networks bulk-charge the uniform price.
-        if (!meter_each && meter_) {
-          const auto images = static_cast<std::uint64_t>(hi - lo);
-          meter_->charge_stages(tail, meter_->stage_count(), images, acc);
-          acc.images = images;
-        }
-        if (meter_) {
-          telemetry::publish_energy(telemetry::MetricsRegistry::global(),
-                                    "sei_batch", acc);
-        }
-        return c;
+  // Same per-(image, stage) streams a full predict would use, so tail
+  // evaluation replays the identical noise draws.
+  const long long correct = run_batch(
+      n, static_cast<std::size_t>(stage), plan_.ops.size(),
+      [&](int i, EvalContext& ctx) {
+        ctx.bits = inputs[static_cast<std::size_t>(i)];
+        return std::span<const float>{};
+      },
+      [&](int i, int pred, EvalContext&) {
+        return pred == d.labels[static_cast<std::size_t>(i)];
       });
   return 100.0 * (1.0 - static_cast<double>(correct) / n);
 }

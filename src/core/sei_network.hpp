@@ -10,9 +10,10 @@
 // Evaluation dispatch is compiled: construction (and every remap / fault /
 // restore / engine switch) lowers the mapped layers into a CompiledPlan
 // (core/plan.hpp) — engines and sub-kernels resolved per stage, explicit
-// byte↔word converts, per-stage energy prices baked in, exact scratch
-// bounds. One executor (run_plan) walks any range of that plan: try_predict
-// runs all of it, cache_stage_inputs a head and error_rate_from a tail.
+// byte↔word converts, exact scratch bounds. One executor (run_plan) walks
+// any range of that plan: try_predict runs all of it, and one batch driver
+// (run_batch) runs a range over a dataset — all of it for error_rate, a
+// head for cache_stage_inputs, a tail for error_rate_from.
 // The scalar engines (set_packed_eval(false)) are the reference the packed
 // kernels are pinned bit-identical to by tests/test_determinism.cpp.
 #pragma once
@@ -63,7 +64,7 @@ class SeiNetwork {
   void rebuild_packed(int stage);
 
   /// Recompiles the execution plan from the current layers, config, engine
-  /// switch, and meter, and bumps the plan epoch. Callers that mutate
+  /// switch and row billing, and bumps the plan epoch. Callers that mutate
   /// mapped state directly (apply_fault, load_checkpoint) must call this
   /// once they are done. Bound contexts re-bind lazily on their next
   /// prepare() if (and only if) the new scratch bounds outgrew them.
@@ -84,11 +85,8 @@ class SeiNetwork {
   /// the chunk totals to the global metrics registry under path
   /// "sei_batch"; single-image callers attach the meter to their own
   /// EvalContext instead. The meter must outlive the network. nullptr
-  /// detaches. Rebuilds the plan (prices are baked into the ops).
-  void set_meter(const telemetry::EnergyMeter* meter) {
-    meter_ = meter;
-    rebuild_plan();
-  }
+  /// detaches. Prices stay in the meter: the plan is not recompiled.
+  void set_meter(const telemetry::EnergyMeter* meter) { meter_ = meter; }
   const telemetry::EnergyMeter* meter() const { return meter_; }
 
   /// Row billing (docs/sparsity.md). Empty bounds (the default) charge
@@ -158,18 +156,19 @@ class SeiNetwork {
   long long total_cells() const;
 
  private:
-  /// Pre-threshold block evaluation of one stage at every output position.
-  /// `bits_out` receives the post-vote (post-pool) activations for hidden
-  /// stages; `scores` the classifier sums for the final stage. Scratch and
-  /// read noise come from `ctx`. The hidden/classifier engines also leave
-  /// the stage's driven-row count in ctx.rows_driven and, when
-  /// ctx.cur_activity is set, record the activity histogram.
-  void eval_stage_bits(const MappedLayer& m, const quant::BitMap& in,
-                       quant::BitMap& bits_out, std::vector<float>& scores,
-                       EvalContext& ctx) const;
-  void eval_stage_float(const MappedLayer& m, std::span<const float> in,
-                        quant::BitMap& bits_out, std::vector<float>& scores,
-                        EvalContext& ctx) const;
+  /// The scalar oracle (kScalarFloat and kScalarBits), one stage at every
+  /// output position: each crossbar block sums the weight rows its inputs
+  /// select. `In` is the input kind — a byte map, whose 1-bit inputs add
+  /// their rows, or the image, whose inputs add their rows times their DAC
+  /// level. `bits_out` receives the post-vote (post-pool) activations for
+  /// hidden stages; `scores` the classifier sums. Scratch and read noise
+  /// come from `ctx`. On a byte map the stage also leaves its driven-row
+  /// count in ctx.rows_driven and, when ctx.cur_activity is set, records
+  /// the activity histogram.
+  template <typename In>
+  void eval_stage_scalar(const MappedLayer& m, const In& in,
+                         quant::BitMap& bits_out, std::vector<float>& scores,
+                         EvalContext& ctx) const;
 
   /// Bit-packed engines (core/bitpack): `eval_stage_packed` is the hidden/
   /// classifier stage on packed words, run by the row-scatter kernel on the
@@ -192,10 +191,23 @@ class SeiNetwork {
                        long long image_index, std::size_t first,
                        std::size_t last) const;
 
+  /// The batch driver: runs plan ops [first, last) over images [0, n) in
+  /// exec chunks, one bound context per chunk. `input(i, ctx)` returns image
+  /// i's stage-0 input (a range entering at a hidden stage loads ctx.bits
+  /// and returns an empty span); `finish(i, label, ctx)` consumes the
+  /// result (label -1 unless the range ends at the classifier) and returns
+  /// whether image i counts. Owns the metering: with row billing and a
+  /// meter, each image is metered through its context; otherwise a meter
+  /// is charged the range's stage prices in bulk, images counted only when
+  /// the range ends at the classifier. Each chunk publishes to "sei_batch"
+  /// once. Returns the number of images that count.
+  template <typename Input, typename Finish>
+  long long run_batch(int n, std::size_t first, std::size_t last,
+                      Input&& input, Finish&& finish) const;
+
   /// Charges one completed stage — the only billing path: per driven row
-  /// when the op bills by rows (charge_stage_rows), else the baked plan
-  /// price when the context meters against the plan's meter, dynamic
-  /// charge_stage otherwise.
+  /// when the op bills by rows (charge_stage_rows), else the meter's stage
+  /// price (charge_stage).
   void charge(const StageOp& op, EvalContext& ctx) const;
 
   /// Classifier readout: merges one position's block currents into scores.
@@ -210,12 +222,6 @@ class SeiNetwork {
   void decide_position(const MappedLayer& m, const double* block_sums,
                        const int* n_active, std::uint8_t* out_bits,
                        const ReadNoise& noise, std::uint64_t first_read) const;
-
-  /// Per-read analog noise on a block's column current (the crossbar's
-  /// read_noise_sigma applies at every sense-amp / readout event): read
-  /// `index` of the current (image, stage).
-  double readout(double current, const ReadNoise& noise,
-                 std::uint64_t index) const;
 
   /// Read-noise key of one stage of one image: derived only from
   /// (cfg.seed, image_index, stage), and every read of the stage draws

@@ -49,7 +49,7 @@ std::vector<StageGeometry> resolve_geometry(const Topology& topo) {
   return out;
 }
 
-void eval_stage_float_input(const QLayer& l, std::span<const float> input,
+void eval_stage_image_input(const QLayer& l, std::span<const float> input,
                             std::vector<float>& out) {
   const StageGeometry& g = l.geom;
   SEI_CHECK(input.size() ==
@@ -185,7 +185,7 @@ std::vector<float> QNetwork::final_scores(std::span<const float> image) const {
   for (std::size_t i = 0; i < layers.size(); ++i) {
     const QLayer& l = layers[i];
     if (i == 0)
-      eval_stage_float_input(l, image, sums);
+      eval_stage_image_input(l, image, sums);
     else
       eval_stage_binary_input(l, bits, sums);
     if (i + 1 == layers.size()) {
@@ -206,7 +206,7 @@ BitMap QNetwork::binary_activations(std::span<const float> image,
   for (int i = 0; i <= stage; ++i) {
     const QLayer& l = layers[static_cast<std::size_t>(i)];
     if (i == 0)
-      eval_stage_float_input(l, image, sums);
+      eval_stage_image_input(l, image, sums);
     else
       eval_stage_binary_input(l, bits, sums);
     SEI_CHECK_MSG(l.binarize, "binary_activations beyond binarized stages");

@@ -93,7 +93,7 @@ class QNetwork {
 /// Evaluates one stage given its input.
 /// For stage 0 the input is the float image; hidden stages take bits.
 /// `out` receives the pre-threshold sums, [out_h*out_w × cols] row-major.
-void eval_stage_float_input(const QLayer& l, std::span<const float> input,
+void eval_stage_image_input(const QLayer& l, std::span<const float> input,
                             std::vector<float>& out);
 void eval_stage_binary_input(const QLayer& l, const BitMap& input,
                              std::vector<float>& out);

@@ -84,7 +84,7 @@ QuantizationResult quantize_network(nn::Network& float_net,
               const std::span<const float> img{
                   train.images.data() + static_cast<std::size_t>(i) * per_image,
                   per_image};
-              eval_stage_float_input(ql, img, s);
+              eval_stage_image_input(ql, img, s);
             } else {
               eval_stage_binary_input(ql, bits[static_cast<std::size_t>(i)], s);
             }

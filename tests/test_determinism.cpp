@@ -141,10 +141,12 @@ std::vector<std::uint64_t> published_batch_counters() {
 
 TEST(Determinism, CachedHeadAndTailMatchFullPassWithRowBilling) {
   // cache_stage_inputs and error_rate_from run ranges of the same plan a
-  // full pass runs: for every split stage, on both engines, with read noise
-  // and per-image row billing on, the tail reproduces the full error rate
-  // and head + tail publish the full pass's sei_batch energy — event counts
-  // exactly, femtojoules up to one rounding per published chunk.
+  // full pass runs: for every split stage, on both engines, with read noise,
+  // the tail reproduces the full error rate and head + tail publish the full
+  // pass's sei_batch energy — event counts exactly, femtojoules up to one
+  // rounding per published chunk. Both billing branches of the batch
+  // driver: per-image metering with row billing on, bulk stage prices with
+  // it off.
   Fixture& f = fixture();
   core::HardwareConfig cfg;
   cfg.device.read_noise_sigma = 0.05;
@@ -152,8 +154,6 @@ TEST(Determinism, CachedHeadAndTailMatchFullPassWithRowBilling) {
   const telemetry::EnergyMeter meter =
       arch::make_energy_meter(f.qnet, cfg, core::StructureKind::kSei);
   hw.set_meter(&meter);
-  hw.set_skip_bounds(std::vector<int>(
-      static_cast<std::size_t>(hw.stage_count()), 0));
   const int n = 120;
   const auto delta = [](const std::vector<std::uint64_t>& a,
                         const std::vector<std::uint64_t>& b) {
@@ -161,27 +161,34 @@ TEST(Determinism, CachedHeadAndTailMatchFullPassWithRowBilling) {
     for (std::size_t i = 0; i < a.size(); ++i) d[i] = b[i] - a[i];
     return d;
   };
-  for (const bool packed : {true, false}) {
-    hw.set_packed_eval(packed);
-    const std::vector<std::uint64_t> c0 = published_batch_counters();
-    const double full = hw.error_rate(f.test, n);
-    const std::vector<std::uint64_t> want =
-        delta(c0, published_batch_counters());
-    for (int stage = 1; stage < hw.stage_count(); ++stage) {
-      SCOPED_TRACE(std::string(packed ? "packed" : "scalar") +
-                   " stage=" + std::to_string(stage));
-      const std::vector<std::uint64_t> before = published_batch_counters();
-      const auto cached = hw.cache_stage_inputs(f.test, stage, n);
-      EXPECT_EQ(hw.error_rate_from(f.test, stage, cached), full);
-      const std::vector<std::uint64_t> got =
-          delta(before, published_batch_counters());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        if (i < 9)  // femtojoules: each publish rounds once
-          EXPECT_NEAR(static_cast<double>(got[i]),
-                      static_cast<double>(want[i]), n)
-              << "counter " << i;
-        else
-          EXPECT_EQ(got[i], want[i]) << "counter " << i;
+  for (const bool row_billing : {true, false}) {
+    hw.set_skip_bounds(row_billing
+                           ? std::vector<int>(
+                                 static_cast<std::size_t>(hw.stage_count()), 0)
+                           : std::vector<int>{});
+    for (const bool packed : {true, false}) {
+      hw.set_packed_eval(packed);
+      const std::vector<std::uint64_t> c0 = published_batch_counters();
+      const double full = hw.error_rate(f.test, n);
+      const std::vector<std::uint64_t> want =
+          delta(c0, published_batch_counters());
+      for (int stage = 1; stage < hw.stage_count(); ++stage) {
+        SCOPED_TRACE(std::string(row_billing ? "row-billed " : "dense ") +
+                     (packed ? "packed" : "scalar") +
+                     " stage=" + std::to_string(stage));
+        const std::vector<std::uint64_t> before = published_batch_counters();
+        const auto cached = hw.cache_stage_inputs(f.test, stage, n);
+        EXPECT_EQ(hw.error_rate_from(f.test, stage, cached), full);
+        const std::vector<std::uint64_t> got =
+            delta(before, published_batch_counters());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          if (i < 9)  // femtojoules: each publish rounds once
+            EXPECT_NEAR(static_cast<double>(got[i]),
+                        static_cast<double>(want[i]), n)
+                << "counter " << i;
+          else
+            EXPECT_EQ(got[i], want[i]) << "counter " << i;
+        }
       }
     }
   }
@@ -204,11 +211,10 @@ int packed_ops_with_split_stage0(const core::SeiNetwork& hw) {
 /// §5): runs `n` images through the plan on both engine settings of the
 /// same mapped network and requires bit-identical predictions, identical
 /// batch error rates at 1/2/8 threads, and metered energy equal to 1e-6 pJ
-/// with identical event counts. The packed pass runs with the meter
-/// attached to the network, so it charges the plan's baked per-op prices;
-/// the scalar pass prices through the meter's stage table — pinning the
-/// lowering's price baking too. `min_packed` guards against silently
-/// testing the fallback against itself.
+/// with identical event counts. The packed pass runs with the meter also
+/// attached to the network, the scalar pass without: attaching a meter must
+/// not change what the per-image path charges. `min_packed` guards against
+/// silently testing the fallback against itself.
 void expect_engines_match(const quant::QNetwork& qnet, core::SeiNetwork& hw,
                           const data::Dataset& test, int n, int min_packed) {
   ThreadGuard guard;

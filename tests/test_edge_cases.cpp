@@ -58,7 +58,7 @@ TEST(QnetEdges, FcStageWithFloatInput) {
   l.bias.at(1) = 0.25f;
   std::vector<float> in{0.5f, 0.0f, 1.0f};
   std::vector<float> out;
-  quant::eval_stage_float_input(l, in, out);
+  quant::eval_stage_image_input(l, in, out);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_FLOAT_EQ(out[0], 0.5f);           // 0.5·1 + 0·2
   EXPECT_FLOAT_EQ(out[1], -1.0f + 0.25f);  // 1·(−1) + bias

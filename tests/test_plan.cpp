@@ -1,6 +1,6 @@
 // Plan compilation and arena-backed scratch (docs/plans.md): lowering
-// invariants (resolved engines, explicit converts, exact scratch bounds,
-// baked prices), the capacity-based context binding contract, and the
+// invariants (resolved engines, explicit converts, exact scratch bounds),
+// the capacity-based context binding contract, and the
 // zero-allocation guarantee a bound context gives the serving hot path.
 #include <gtest/gtest.h>
 
@@ -217,24 +217,33 @@ TEST(Plan, StageZeroRunsTheDacTileOrTheScalarReference) {
 }
 
 TEST(Plan, ScratchCoversIsComponentwise) {
-  core::ScratchPlan a;
-  a.block_sums = 100;
-  a.scores = 10;
-  a.finalize();
-  core::ScratchPlan b;
-  b.block_sums = 50;
-  b.scores = 10;
-  b.finalize();
-  EXPECT_TRUE(a.covers(b));
-  EXPECT_FALSE(b.covers(a));
-  b.packed_words = 4;  // one axis b exceeds a on — neither covers now
-  b.finalize();
-  EXPECT_FALSE(a.covers(b));
-  EXPECT_FALSE(b.covers(a));
-  core::ScratchPlan m = a;
-  m.merge(b);
-  EXPECT_TRUE(m.covers(a));
-  EXPECT_TRUE(m.covers(b));
+  // Every bound of the scratch list: a plan one element larger on that axis
+  // alone is not covered, the merge covers both, and binding the merge
+  // carves exactly its arena_bytes — no span falls back to owned storage.
+  const auto bounds = core::ScratchPlan::bounds();
+  ASSERT_FALSE(bounds.empty());
+  core::ScratchPlan base;
+  for (std::size_t i = 0; i < bounds.size(); ++i) base.*bounds[i] = 3 + i;
+  base.finalize();
+  core::ScratchPlan all = base;
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    SCOPED_TRACE("bound " + std::to_string(i));
+    core::ScratchPlan bigger = base;
+    ++(bigger.*bounds[i]);
+    bigger.finalize();
+    EXPECT_FALSE(base.covers(bigger));
+    EXPECT_TRUE(bigger.covers(base));
+    core::ScratchPlan m = base;
+    m.merge(bigger);
+    EXPECT_TRUE(m.covers(base));
+    EXPECT_TRUE(m.covers(bigger));
+    all.merge(bigger);
+  }
+  for (const auto b : bounds) EXPECT_EQ(all.*b, base.*b + 1);
+  core::EvalContext ctx;
+  ctx.bind(all);
+  EXPECT_TRUE(ctx.covers(all));
+  EXPECT_EQ(ctx.arena_carved(), all.arena_bytes);
 }
 
 TEST(Plan, EpochBumpsOnEveryRebuildTrigger) {
@@ -251,30 +260,15 @@ TEST(Plan, EpochBumpsOnEveryRebuildTrigger) {
   for (int r = 0; r < hw.layer(1).geom.rows; ++r) order.push_back(r);
   hw.remap_layer(1, order);
   EXPECT_GT(hw.plan().epoch, last);
-}
-
-TEST(Plan, BakesPricesFromTheAttachedMeter) {
-  Fixture& f = fixture();
-  core::SeiNetwork hw(f.qnet, core::HardwareConfig{});
-  EXPECT_EQ(hw.plan().priced_for, nullptr);
+  // The converse: prices live in the meter, so attaching or detaching one
+  // recompiles nothing.
+  last = hw.plan().epoch;
   const telemetry::EnergyMeter meter =
       arch::make_energy_meter(f.qnet, hw.config(), core::StructureKind::kSei);
   hw.set_meter(&meter);
-  const core::CompiledPlan& plan = hw.plan();
-  EXPECT_EQ(plan.priced_for, &meter);
-  for (const core::StageOp& op : plan.ops) {
-    if constexpr (telemetry::kEnabled) {
-      EXPECT_TRUE(op.priced);
-      // The baked numbers are the meter's own: charging the stage
-      // dynamically must produce the identical breakdown.
-      telemetry::EnergyAccum dyn;
-      meter.charge_stage(static_cast<std::size_t>(op.stage), dyn);
-      EXPECT_DOUBLE_EQ(op.price.pj.total(), dyn.pj.total());
-      EXPECT_EQ(op.price.events.sa_compares, dyn.events.sa_compares);
-    }
-  }
+  EXPECT_EQ(hw.plan().epoch, last);
   hw.set_meter(nullptr);
-  EXPECT_EQ(hw.plan().priced_for, nullptr);
+  EXPECT_EQ(hw.plan().epoch, last);
 }
 
 TEST(Plan, BoundContextServesWithoutHeapAllocation) {

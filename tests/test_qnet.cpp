@@ -81,7 +81,7 @@ TEST(QNet, FloatStageEvaluation) {
   std::vector<float> in(9);
   for (int i = 0; i < 9; ++i) in[static_cast<std::size_t>(i)] = static_cast<float>(i);
   std::vector<float> out;
-  eval_stage_float_input(l, in, out);
+  eval_stage_image_input(l, in, out);
   ASSERT_EQ(out.size(), 4u);
   // Position (0,0): 1·in[0] − 2·in[4] + 0.5 = 0 − 8 + 0.5 = −7.5.
   EXPECT_FLOAT_EQ(out[0], -7.5f);
@@ -127,7 +127,7 @@ TEST(QNet, BuildFromFloatNetworkAndPredict) {
     v = rng.bernoulli(0.7) ? 0.0f : static_cast<float>(rng.uniform(0, 1));
   nn::Tensor conv_out = net.forward_range(img, 0, 1, false);
   std::vector<float> qnet_out;
-  eval_stage_float_input(q.layers[0], {img.data(), img.numel()}, qnet_out);
+  eval_stage_image_input(q.layers[0], {img.data(), img.numel()}, qnet_out);
   ASSERT_EQ(qnet_out.size(), conv_out.numel());
   for (std::size_t i = 0; i < qnet_out.size(); ++i)
     EXPECT_NEAR(qnet_out[i], conv_out[i], 1e-4f);

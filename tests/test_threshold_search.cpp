@@ -57,7 +57,7 @@ TEST(ThresholdSearch, RescaleBoundsStageOutputs) {
   float mx = 0;
   std::vector<float> sums;
   for (int i = 0; i < 100; ++i) {
-    eval_stage_float_input(
+    eval_stage_image_input(
         l0, {f.train.images.data() + static_cast<std::size_t>(i) * per_image, per_image},
         sums);
     for (float v : sums) mx = std::max(mx, v);
